@@ -11,7 +11,7 @@ Run:  python examples/custom_parcelport_config.py
 """
 
 from repro import PPConfig, make_parcelport_factory
-from repro.bench import LatencyParams, run_latency
+from repro.bench import LatencyParams, RunSpec, run
 from repro.bench.reporting import format_table
 from repro.hpx_rt import HpxRuntime
 from repro.hpx_rt.platform import EXPANSE
@@ -73,8 +73,8 @@ def main() -> None:
           "path (extra copy, no handshake).")
 
     # And the stock configuration for reference:
-    ref = run_latency("lci_psr_cq_pin_i",
-                      LatencyParams(msg_size=msg_size, window=1, steps=30))
+    ref = run(RunSpec("latency", "lci_psr_cq_pin_i",
+                      LatencyParams(msg_size=msg_size, window=1, steps=30)))
     print(f"\nstock configuration reference: "
           f"{ref.one_way_latency_us:.2f} us")
 

@@ -9,7 +9,7 @@ Run:  python examples/latency_study.py [--steps 20]
 
 import argparse
 
-from repro.bench import LatencyParams, Series, run_latency
+from repro.bench import LatencyParams, RunSpec, Series, run
 from repro.bench.reporting import ascii_plot, format_series_table
 from repro.hpx_rt.platform import EXPANSE
 
@@ -29,9 +29,9 @@ def main() -> None:
     for cfg in CONFIGS:
         s = Series(label=cfg)
         for size in SIZES:
-            r = run_latency(cfg, LatencyParams(
+            r = run(RunSpec("latency", cfg, LatencyParams(
                 msg_size=size, window=1, steps=args.steps,
-                platform=EXPANSE))
+                platform=EXPANSE)))
             s.add(size, r.one_way_latency_us)
         size_series.append(s)
     print(format_series_table(size_series, x_name="bytes",
@@ -43,9 +43,9 @@ def main() -> None:
     for cfg in CONFIGS:
         s = Series(label=cfg)
         for w in WINDOWS:
-            r = run_latency(cfg, LatencyParams(
+            r = run(RunSpec("latency", cfg, LatencyParams(
                 msg_size=16384, window=w, steps=max(5, args.steps // 2),
-                platform=EXPANSE))
+                platform=EXPANSE)))
             s.add(w, r.one_way_latency_us)
         win_series.append(s)
     print(format_series_table(win_series, x_name="window",

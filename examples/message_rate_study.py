@@ -11,7 +11,7 @@ Run:  python examples/message_rate_study.py [--size 8] [--total 2000]
 
 import argparse
 
-from repro.bench import MessageRateParams, Series, run_message_rate
+from repro.bench import MessageRateParams, RunSpec, Series, run
 from repro.bench.reporting import ascii_plot, format_series_table
 from repro.hpx_rt.platform import EXPANSE
 
@@ -38,7 +38,7 @@ def main() -> None:
             params = MessageRateParams(
                 msg_size=args.size, batch=batch, total_msgs=total,
                 inject_rate_kps=rate, platform=EXPANSE)
-            r = run_message_rate(cfg, params)
+            r = run(RunSpec("message_rate", cfg, params))
             s.add(r.achieved_injection_kps, r.message_rate_kps)
             print(f"  {cfg:<18} attempted={rate or 'unlimited':>9} "
                   f"achieved_inj={r.achieved_injection_kps:9.1f}K/s "

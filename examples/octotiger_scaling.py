@@ -12,7 +12,7 @@ Run:  python examples/octotiger_scaling.py [--platform expanse]
 import argparse
 import time
 
-from repro.bench import OctoTigerBenchParams, run_octotiger
+from repro.bench import OctoTigerBenchParams, RunSpec, run
 from repro.bench.reporting import format_table
 from repro.hpx_rt.platform import platform_by_name
 
@@ -39,7 +39,7 @@ def main() -> None:
                                           paper_level=paper_level,
                                           n_steps=args.steps)
             t0 = time.time()
-            out = run_octotiger(cfg, params)
+            out = run(RunSpec("octotiger", cfg, params)).as_dict()
             result[name] = out["steps_per_second"]
             print(f"  nodes={nodes:<3} {name:<6} "
                   f"steps/s={out['steps_per_second']:8.3f} "

@@ -5,7 +5,7 @@
 Every search point is an ordinary sweep point evaluated through
 :func:`repro.bench.parallel.run_points`, so the search inherits the
 engine's whole contract: points fan out across ``--jobs`` processes,
-results are deterministic functions of ``(kind, config, params, seed)``,
+results are deterministic functions of their :class:`~repro.bench.RunSpec`,
 and repeated points — within a search, across searches, or shared with a
 figure regeneration — are content-addressed cache hits.
 
@@ -26,6 +26,11 @@ import time
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
+from ..bench import (SERVE_FLOW, FftBenchParams, MessageRateParams, RunSpec,
+                     ServeBenchParams)
+from ..bench.parallel import policy, run_points
+from ..bench.perfbench import _doc_header, validate_bench
+from ..bench.seeds import repeat_seeds
 from .policy import AdaptiveSpec
 
 __all__ = ["run_tune", "BASELINE_CONFIG", "ADAPT_VARIANTS", "WORKLOADS"]
@@ -51,64 +56,58 @@ ADAPT_VARIANTS: Dict[str, Optional[AdaptiveSpec]] = {
 SEARCH_CONFIGS = ["lci_psr_cq_pin_i", "lci_psr_cq_pin", "lci_sr_cq_pin"]
 
 
-def _mr_task(config: str, adapt: Optional[Dict[str, Any]], budget: int,
-             seed: int):
-    from ..bench.parallel import message_rate_task
-    from ..hpx_rt.platform import EXPANSE
-    return message_rate_task(config, msg_size=8, batch=100,
-                             total_msgs=budget, inject_rate_kps=None,
-                             platform=EXPANSE, seed=seed, adapt=adapt)
+def _mr_spec(config: str, adapt: Optional[AdaptiveSpec], budget: int,
+             seed: int) -> RunSpec:
+    return RunSpec("message_rate", config,
+                   MessageRateParams(msg_size=8, batch=100,
+                                     total_msgs=budget,
+                                     inject_rate_kps=None),
+                   seed, adapt=adapt)
 
 
-def _fft_task(config: str, adapt: Optional[Dict[str, Any]], budget: int,
-              seed: int):
-    from ..bench.parallel import fft_task
-    from ..hpx_rt.platform import EXPANSE
-    return fft_task(config, n1=budget, n2=budget, n_localities=4,
-                    platform=EXPANSE, seed=seed, adapt=adapt)
+def _fft_spec(config: str, adapt: Optional[AdaptiveSpec], budget: int,
+              seed: int) -> RunSpec:
+    return RunSpec("fft", config,
+                   FftBenchParams(n1=budget, n2=budget, n_localities=4),
+                   seed, adapt=adapt)
 
 
-def _serve_task(config: str, adapt: Optional[Dict[str, Any]], budget: float,
-                seed: int):
-    from ..bench.parallel import serve_task
-    from ..hpx_rt.platform import EXPANSE
-    return serve_task(config, offered_kps=400.0, horizon_us=float(budget),
-                      n_localities=4, platform=EXPANSE, seed=seed,
-                      adapt=adapt)
+def _serve_spec(config: str, adapt: Optional[AdaptiveSpec], budget: float,
+                seed: int) -> RunSpec:
+    return RunSpec("serve", config,
+                   ServeBenchParams(offered_kps=400.0,
+                                    horizon_us=float(budget),
+                                    n_localities=4),
+                   seed, flow=SERVE_FLOW, adapt=adapt)
 
 
-#: workload name -> (task factory, metric key, quick budgets, full budgets)
+#: workload name -> (spec factory, metric key, quick budgets, full budgets)
 WORKLOADS = {
-    "message_rate": (_mr_task, "message_rate_kps",
+    "message_rate": (_mr_spec, "message_rate_kps",
                      [1000, 2000, 4000], [5000, 10000, 20000]),
-    "fft": (_fft_task, "points_per_second",
+    "fft": (_fft_spec, "points_per_second",
             [8, 16, 32], [16, 32, 64]),
-    "serve": (_serve_task, "goodput_kps",
+    "serve": (_serve_spec, "goodput_kps",
               [500.0, 1000.0, 2000.0], [1000.0, 2000.0, 4000.0]),
 }
 
 
 def _candidates(configs: Sequence[str],
                 variants: Dict[str, Optional[AdaptiveSpec]]
-                ) -> List[Tuple[str, str, Optional[Dict[str, Any]]]]:
-    """(name, config, adapt-dict) triples, deterministic order."""
+                ) -> List[Tuple[str, str, Optional[AdaptiveSpec]]]:
+    """(name, config, adaptive spec) triples, deterministic order."""
     out = []
     for config in configs:
         for vname, spec in variants.items():
             name = config if spec is None else f"{config}+{vname}"
-            out.append((name, config,
-                        None if spec is None else spec.as_dict()))
+            out.append((name, config, spec))
     return out
 
 
-def _score(task_factory, name_cfg_adapt, budget, seeds
-           ) -> List[Dict[str, Any]]:
-    """Build one rung's tasks for all candidates x seeds (flat list)."""
-    tasks = []
-    for name, config, adapt in name_cfg_adapt:
-        for seed in seeds:
-            tasks.append(task_factory(config, adapt, budget, seed))
-    return tasks
+def _rung(spec_factory, name_cfg_adapt, budget, seeds) -> List[RunSpec]:
+    """One rung's specs for all candidates x seeds (flat list)."""
+    return [spec_factory(config, adapt, budget, seed)
+            for _name, config, adapt in name_cfg_adapt for seed in seeds]
 
 
 def run_tune(workload: Optional[str] = None, full: bool = False,
@@ -124,19 +123,15 @@ def run_tune(workload: Optional[str] = None, full: bool = False,
     ``winner.improvement_pct`` and asserted by CI on the committed
     artifact, not on every quick rerun).
     """
-    from ..bench.figures import _seeds
-    from ..bench.parallel import policy, run_points
-    from ..bench.perfbench import _doc_header, validate_bench
-
     workload = workload or "serve"
     if workload not in WORKLOADS:
         raise ValueError(f"unknown tune workload {workload!r} "
                          f"(choose from {sorted(WORKLOADS)})")
-    task_factory, metric, quick_budgets, full_budgets = WORKLOADS[workload]
+    spec_factory, metric, quick_budgets, full_budgets = WORKLOADS[workload]
     if budgets is None:
         budgets = full_budgets if full else quick_budgets
     repeats = repeats or (3 if full else 1)
-    seeds = _seeds(repeats)
+    seeds = repeat_seeds(repeats)
     cands = _candidates(configs or SEARCH_CONFIGS,
                         adapt_variants or ADAPT_VARIANTS)
 
@@ -152,12 +147,13 @@ def run_tune(workload: Optional[str] = None, full: bool = False,
     survivors = list(cands)
     scored: List[Dict[str, Any]] = []
     for r, budget in enumerate(budgets):
-        tasks = _score(task_factory, survivors, budget, seeds)
-        results = iter(run_points(tasks))
+        results = iter(run_points(_rung(spec_factory, survivors, budget,
+                                        seeds)))
         scored = []
         for name, config, adapt in survivors:
             vals = [next(results)[metric] for _ in seeds]
-            entry = {"name": name, "config": config, "adapt": adapt,
+            entry = {"name": name, "config": config,
+                     "adapt": None if adapt is None else adapt.as_dict(),
                      "score": sum(vals) / len(vals)}
             scored.append(entry)
         # Deterministic ranking: score descending, name as tie-break.
@@ -175,9 +171,9 @@ def run_tune(workload: Optional[str] = None, full: bool = False,
         survivors = [by_name[n] for n in kept]
 
     # Baseline at full budget (a cache hit if it survived the search).
-    base_tasks = _score(task_factory, [(BASELINE_CONFIG, BASELINE_CONFIG,
-                                        None)], budgets[-1], seeds)
-    base_vals = [res[metric] for res in run_points(base_tasks)]
+    base_specs = _rung(spec_factory, [(BASELINE_CONFIG, BASELINE_CONFIG,
+                                       None)], budgets[-1], seeds)
+    base_vals = [res[metric] for res in run_points(base_specs)]
     base_score = sum(base_vals) / len(base_vals)
     winner = scored[0]
     improvement = (winner["score"] / base_score - 1.0) * 100.0

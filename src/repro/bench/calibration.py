@@ -17,8 +17,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Tuple
 
-from .latency import LatencyParams, run_latency
-from .message_rate import MessageRateParams, run_message_rate
+from .latency import LatencyParams
+from .message_rate import MessageRateParams
+from .runner import RunSpec, run
 
 __all__ = ["Anchor", "ANCHORS", "check_calibration", "format_calibration"]
 
@@ -43,12 +44,12 @@ def _rate(config: str, size: int = 8, total: int = 2000,
     params = MessageRateParams(msg_size=size, batch=batch,
                                total_msgs=total, inject_rate_kps=None,
                                max_events=30_000_000)
-    return run_message_rate(config, params).message_rate_kps
+    return run(RunSpec("message_rate", config, params)).message_rate_kps
 
 
 def _latency(config: str, size: int = 8) -> float:
     params = LatencyParams(msg_size=size, window=1, steps=15)
-    return run_latency(config, params).one_way_latency_us
+    return run(RunSpec("latency", config, params)).one_way_latency_us
 
 
 def _anchors() -> List[Anchor]:

@@ -1,27 +1,30 @@
-"""Distributed-FFT benchmark wrapper: the incast workload for the bench layer.
+"""Distributed-FFT workload: the incast workload for the bench layer.
 
-Runs :class:`~repro.apps.fft.FftDriver` on a fresh runtime per point and
-flattens the result into the primitive metric dict the sweep engine /
-figure drivers consume.  A :class:`~repro.flow.FlowControlPolicy` (with
-the reliability layer it rides on) can be switched on per point — that
-is what lets the incast sweep show credit stalls and deferred sends at
-the top of the size ladder — and ``trace=`` produces the span recorder
-the critical-path breakdown is computed from.
+Drives :class:`~repro.apps.fft.FftDriver` on the runtime that
+:func:`repro.bench.run` builds and flattens the result into the primitive
+metric dict the sweep engine / figure drivers consume.  Flow control is
+switched on per point through ``RunSpec.flow`` (:data:`FFT_FLOW` is the
+incast setting); the reliability layer whose acks carry the credits comes
+with it.  That is what lets the incast sweep show credit stalls and
+deferred sends at the top of the size ladder.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
-from typing import Any, Dict, Optional
+from dataclasses import dataclass, replace
+from typing import Dict
 
 from ..apps.fft import COMPLEX_BYTES, FftConfig, FftDriver
-from ..faults import FaultPlan, RetryPolicy
 from ..flow import FlowControlPolicy
 from ..hpx_rt.platform import EXPANSE, PlatformSpec
-from ..parcelport import PPConfig
-from .. import make_runtime
+from .runner import RunResult, Workload
 
-__all__ = ["FftBenchParams", "FftBenchResult", "run_fft"]
+__all__ = ["FftBenchParams", "FftBenchResult", "FFT_FLOW", "WORKLOAD"]
+
+#: flow control for the incast runs: a 4-message credit window and a
+#: shallow sender backlog, so the transpose fan-in visibly engages
+#: credit stalls and deferred sends at the top of the size ladder
+FFT_FLOW = FlowControlPolicy(credit_window=4, max_backlog=8)
 
 
 @dataclass(frozen=True)
@@ -35,21 +38,10 @@ class FftBenchParams:
     #: per-row-segment messages (the realistic, backlog-deepening mode)
     fragment: bool = True
     platform: PlatformSpec = EXPANSE
-    #: >0 switches on credit-based flow control (plus the reliability
-    #: layer whose acks carry the credits) with this per-peer window
-    credit_window: int = 0
-    #: sender backlog bound when flow control is on (0 = unbounded)
-    max_backlog: int = 0
     max_events: int = 20_000_000
 
     def with_(self, **kw) -> "FftBenchParams":
         return replace(self, **kw)
-
-    def flow_policy(self) -> Optional[FlowControlPolicy]:
-        if self.credit_window <= 0:
-            return None
-        return FlowControlPolicy(credit_window=self.credit_window,
-                                 max_backlog=self.max_backlog)
 
     @property
     def transpose_msg_bytes(self) -> int:
@@ -61,72 +53,41 @@ class FftBenchParams:
 
 
 @dataclass
-class FftBenchResult:
-    config: str
-    params: FftBenchParams
+class FftBenchResult(RunResult):
     phase_times_us: Dict[str, float]      #: summed over iterations
     total_time_us: float
     points_per_second: float
     checksum: complex
-    #: merged fault/flow counters (empty without faults or flow control)
-    faults: Dict[str, int] = field(default_factory=dict)
-    #: the run's SpanRecorder when tracing was requested (else None);
-    #: excluded from :meth:`as_dict` so traced runs report identically
-    obs: Any = None
-    metrics: Any = None
-    #: AdaptiveController summary (empty without adaptation)
-    adapt: Dict[str, float] = field(default_factory=dict)
 
-    def as_dict(self) -> Dict[str, float]:
-        out = {
+    def workload_dict(self) -> Dict[str, float]:
+        return {
             "points_per_second": self.points_per_second,
             "total_time_us": self.total_time_us,
             "row_fft1_us": self.phase_times_us["row_fft1"],
             "transpose_us": self.phase_times_us["transpose"],
             "row_fft2_us": self.phase_times_us["row_fft2"],
         }
-        if self.faults:
-            for k, v in sorted(self.faults.items()):
-                out[f"fault.{k}"] = float(v)
-        for k, v in sorted(self.adapt.items()):
-            out[f"adapt.{k}"] = float(v)
-        return out
 
 
-def run_fft(config: "PPConfig | str", params: FftBenchParams,
-            seed: int = 0xC0FFEE,
-            fault_plan: Optional[FaultPlan] = None,
-            retry_policy: Optional[RetryPolicy] = None,
-            trace: "str | bool | None" = None,
-            adapt: Any = None) -> FftBenchResult:
-    """One full distributed-FFT run for one configuration."""
-    if isinstance(config, str):
-        config = PPConfig.parse(config)
-    p = params
-    flow = p.flow_policy()
-    kw: Dict[str, Any] = {}
-    if flow is not None:
-        # credits ride on the reliability layer's end-to-end acks
-        kw["reliable"] = True
-    if adapt is not None:
-        kw["adapt"] = adapt
-    rt = make_runtime(config, platform=p.platform,
-                      n_localities=p.n_localities, seed=seed,
-                      fault_plan=fault_plan, retry_policy=retry_policy,
-                      flow_policy=flow, trace=trace, **kw)
+def drive(rt, p: FftBenchParams) -> FftBenchResult:
+    """One full distributed-FFT run on a built runtime."""
     driver = FftDriver(rt, FftConfig(n1=p.n1, n2=p.n2,
                                      iterations=p.iterations,
                                      fragment=p.fragment))
     res = driver.run(max_events=p.max_events)
-    phase_sums = {k: sum(v) for k, v in res.phase_times_us.items()}
     return FftBenchResult(
-        config=config.label, params=p,
-        phase_times_us=phase_sums,
+        phase_times_us={k: sum(v) for k, v in res.phase_times_us.items()},
         total_time_us=res.total_time_us,
         points_per_second=res.points_per_second,
-        checksum=res.checksum,
-        faults=rt.fault_summary()
-        if (fault_plan is not None or flow is not None) else {},
-        obs=rt.obs,
-        metrics=rt.metrics() if rt.obs is not None else None,
-        adapt=rt.adapt.summary() if rt.adapt is not None else {})
+        checksum=res.checksum)
+
+
+def _runtime(p: FftBenchParams, flow) -> Dict[str, object]:
+    kw: Dict[str, object] = {"n_localities": p.n_localities}
+    if flow is not None:
+        # credits ride on the reliability layer's end-to-end acks
+        kw["reliable"] = True
+    return kw
+
+
+WORKLOAD = Workload(FftBenchParams, drive, _runtime)

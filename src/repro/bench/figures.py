@@ -15,19 +15,22 @@ regeneration within minutes of wall-clock.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Callable, Dict, Iterator, List, Optional, Sequence
 
 from ..faults import FaultPlan
 from ..hpx_rt.platform import EXPANSE, ROSTAM, PlatformSpec
 from ..parcelport import ALL_LCI_VARIANTS, PPConfig, TABLE1
-from .harness import Measurement, Series, repeat
-from .latency import LatencyParams, run_latency
-from .message_rate import MessageRateParams, run_message_rate
-from .parallel import (fft_task, latency_task, message_rate_task,
-                       octotiger_task, run_points, serve_task)
+from .fft_bench import FFT_FLOW, FftBenchParams
+from .harness import Measurement, Series, fold
+from .latency import LatencyParams
+from .message_rate import MessageRateParams
+from .octotiger_bench import OctoTigerBenchParams
+from .parallel import run_points
 from .reporting import (ascii_plot, format_bar_chart, format_series_table,
                         format_table)
+from .runner import RunResult, RunSpec, run
 from .seeds import repeat_seeds
+from .serve_bench import SERVE_FLOW, ServeBenchParams
 
 __all__ = ["FigureResult", "FIGURES",
            "table_abbreviations", "platform_tables",
@@ -109,18 +112,13 @@ def platform_tables() -> str:
 # ---------------------------------------------------------------------------
 # sweep plumbing: fan independent points through repro.bench.parallel
 # ---------------------------------------------------------------------------
-def _seeds(repeats: int) -> List[int]:
-    """The exact seed sequence :func:`repro.bench.harness.repeat` uses."""
-    return repeat_seeds(repeats)
-
-
-def _fold(results: Sequence[Dict[str, float]]) -> Dict[str, Measurement]:
-    """Aggregate per-repetition result dicts exactly like ``repeat()``."""
-    acc: Dict[str, List[float]] = {}
-    for out in results:
-        for k, v in out.items():
-            acc.setdefault(k, []).append(float(v))
-    return {k: Measurement(v) for k, v in acc.items()}
+def _sweep(specs: Sequence[RunSpec],
+           repeats: int) -> Iterator[Dict[str, Measurement]]:
+    """Evaluate ``specs`` (``repeats`` consecutive seeds per point) through
+    the sweep engine; yield each point's folded measurements in order."""
+    results = run_points(specs)
+    for i in range(0, len(results), repeats):
+        yield fold(results[i:i + repeats])
 
 
 # ---------------------------------------------------------------------------
@@ -129,17 +127,18 @@ def _fold(results: Sequence[Dict[str, float]]) -> Dict[str, Measurement]:
 def _rate_sweep(configs: Sequence[str], size: int, batch: int, total: int,
                 rates_kps: Sequence[Optional[float]],
                 platform: PlatformSpec, repeats: int) -> List[Series]:
-    seeds = _seeds(repeats)
-    tasks = [message_rate_task(cfg, msg_size=size, batch=batch,
-                               total_msgs=total, inject_rate_kps=rate,
-                               platform=platform, seed=seed)
-             for cfg in configs for rate in rates_kps for seed in seeds]
-    results = iter(run_points(tasks))
+    points = _sweep([RunSpec("message_rate", cfg,
+                             MessageRateParams(msg_size=size, batch=batch,
+                                               total_msgs=total,
+                                               inject_rate_kps=rate,
+                                               platform=platform), seed)
+                     for cfg in configs for rate in rates_kps
+                     for seed in repeat_seeds(repeats)], repeats)
     series = []
     for cfg in configs:
         s = Series(label=cfg)
         for _rate in rates_kps:
-            res = _fold([next(results) for _ in seeds])
+            res = next(points)
             s.add(res["achieved_injection_kps"].mean,
                   res["message_rate_kps"])
         series.append(s)
@@ -246,24 +245,32 @@ _SIZES_FULL = [8, 64, 512, 1024, 4096, 16384, 65536]
 _SIZES_QUICK = [8, 512, 4096, 16384, 65536]
 
 
+def _latency_series(xs: Sequence[int], params_of: Callable[[int],
+                                                           LatencyParams],
+                    repeats: int) -> List[Series]:
+    """One one-way-latency series per config in ``ALL_CONFIGS`` over
+    ``xs``; ``params_of(x)`` gives the point's parameters."""
+    points = _sweep([RunSpec("latency", cfg, params_of(x), seed)
+                     for cfg in ALL_CONFIGS for x in xs
+                     for seed in repeat_seeds(repeats)], repeats)
+    series = []
+    for cfg in ALL_CONFIGS:
+        s = Series(label=cfg)
+        for x in xs:
+            s.add(x, next(points)["one_way_latency_us"])
+        series.append(s)
+    return series
+
+
 def fig7(quick: bool = True, repeats: Optional[int] = None,
          steps: Optional[int] = None) -> FigureResult:
     """Fig 7: single-message ping-pong latency vs message size."""
     repeats = repeats or (1 if quick else 3)
     steps = steps or (20 if quick else 50)
-    sizes = _SIZES_QUICK if quick else _SIZES_FULL
-    seeds = _seeds(repeats)
-    tasks = [latency_task(cfg, msg_size=size, window=1, steps=steps,
-                          platform=EXPANSE, seed=seed)
-             for cfg in ALL_CONFIGS for size in sizes for seed in seeds]
-    results = iter(run_points(tasks))
-    series = []
-    for cfg in ALL_CONFIGS:
-        s = Series(label=cfg)
-        for size in sizes:
-            res = _fold([next(results) for _ in seeds])
-            s.add(size, res["one_way_latency_us"])
-        series.append(s)
+    series = _latency_series(
+        _SIZES_QUICK if quick else _SIZES_FULL,
+        lambda size: LatencyParams(msg_size=size, window=1, steps=steps),
+        repeats)
     return FigureResult("fig7", "Latency vs message size", series,
                         x_name="bytes", y_name="latency us",
                         meta={"steps": steps, "repeats": repeats})
@@ -274,19 +281,10 @@ def _latency_window_sweep(fig: str, size: int, quick: bool,
                           steps: Optional[int]) -> FigureResult:
     repeats = repeats or (1 if quick else 3)
     steps = steps or (15 if quick else 40)
-    windows = [1, 4, 16, 64] if quick else [1, 2, 4, 8, 16, 32, 64]
-    seeds = _seeds(repeats)
-    tasks = [latency_task(cfg, msg_size=size, window=w, steps=steps,
-                          platform=EXPANSE, seed=seed)
-             for cfg in ALL_CONFIGS for w in windows for seed in seeds]
-    results = iter(run_points(tasks))
-    series = []
-    for cfg in ALL_CONFIGS:
-        s = Series(label=cfg)
-        for w in windows:
-            res = _fold([next(results) for _ in seeds])
-            s.add(w, res["one_way_latency_us"])
-        series.append(s)
+    series = _latency_series(
+        [1, 4, 16, 64] if quick else [1, 2, 4, 8, 16, 32, 64],
+        lambda w: LatencyParams(msg_size=size, window=w, steps=steps),
+        repeats)
     return FigureResult(fig, f"Latency vs window size ({size}B)", series,
                         x_name="window", y_name="latency us",
                         meta={"steps": steps, "repeats": repeats})
@@ -313,16 +311,16 @@ def _octotiger_scaling(fig: str, platform: PlatformSpec, paper_level: int,
     configs = ["mpi", "mpi_i", "lci"]  # lci == lci_psr_cq_rp_i (§5)
     resolved = {"lci": "lci_psr_cq_pin_i", "mpi": "mpi", "mpi_i": "mpi_i"}
     series = {c: Series(label=c) for c in configs}
-    seeds = _seeds(repeats)
-    tasks = [octotiger_task(resolved[c], platform=platform,
-                            n_localities=nodes, paper_level=paper_level,
-                            n_steps=n_steps, seed=seed)
-             for nodes in node_counts for c in configs for seed in seeds]
-    results = iter(run_points(tasks))
+    points = _sweep([RunSpec("octotiger", resolved[c],
+                             OctoTigerBenchParams(platform=platform,
+                                                  n_localities=nodes,
+                                                  paper_level=paper_level,
+                                                  n_steps=n_steps), seed)
+                     for nodes in node_counts for c in configs
+                     for seed in repeat_seeds(repeats)], repeats)
     for nodes in node_counts:
         for c in configs:
-            res = _fold([next(results) for _ in seeds])
-            series[c].add(nodes, res["steps_per_second"])
+            series[c].add(nodes, next(points)["steps_per_second"])
     out = list(series.values())
     # relative speedup series, as plotted on the right axis of Figs 10/11
     for base in ("mpi", "mpi_i"):
@@ -370,31 +368,34 @@ def ablation_mpi_pp(quick: bool = True, repeats: Optional[int] = None
     """
     repeats = repeats or (1 if quick else 3)
     nodes = 8 if quick else 16
-    seeds = _seeds(repeats)
-    app_tasks = [octotiger_task(cfg, platform=EXPANSE, n_localities=nodes,
-                                paper_level=6, n_steps=1 if quick else 5,
-                                seed=seed)
+    seeds = repeat_seeds(repeats)
+    app_specs = [RunSpec("octotiger", cfg,
+                         OctoTigerBenchParams(n_localities=nodes,
+                                              paper_level=6,
+                                              n_steps=1 if quick else 5),
+                         seed)
                  for cfg in ("mpi", "mpi_orig") for seed in seeds]
     # microbenchmark side: 8 B message rate, where every parcel is one
     # header message and the original pays the tag-release round trip and
     # the fixed 512 B wire header on each
-    rate_tasks = [message_rate_task(cfg, msg_size=8, batch=100,
+    rate_params = MessageRateParams(msg_size=8, batch=100,
                                     total_msgs=2000 if quick else 10000,
-                                    inject_rate_kps=None, platform=EXPANSE,
-                                    seed=seed, max_events=20_000_000)
+                                    inject_rate_kps=None,
+                                    max_events=20_000_000)
+    rate_specs = [RunSpec("message_rate", cfg, rate_params, seed)
                   for cfg in ("mpi", "mpi_orig") for seed in seeds]
-    results = iter(run_points(app_tasks + rate_tasks))
+    points = _sweep(app_specs + rate_specs, repeats)
     series = []
     app = {}
     for cfg in ("mpi", "mpi_orig"):
         s = Series(label=cfg)
-        res = _fold([next(results) for _ in seeds])
+        res = next(points)
         s.add(nodes, res["steps_per_second"])
         app[cfg] = res["steps_per_second"].mean
         series.append(s)
     rate = {}
     for cfg in ("mpi", "mpi_orig"):
-        res = _fold([next(results) for _ in seeds])
+        res = next(points)
         rate[cfg] = res["message_rate_kps"].mean
     ratio_app = app["mpi"] / app["mpi_orig"] if app["mpi_orig"] else 0.0
     ratio_rate = rate["mpi"] / rate["mpi_orig"] if rate["mpi_orig"] else 0.0
@@ -432,28 +433,26 @@ def fault_smoke(quick: bool = True, repeats: Optional[int] = None,
     reports the achieved rate plus retransmit/failure counters — the
     headline check that lossy runs terminate instead of hanging.
     """
-    repeats = repeats or 1
     total = 1000 if quick else 5000
     configs = ["lci_psr_cq_pin_i", "mpi_i"]
-    drops = [0.0, 0.02, 0.1] if spec is None else [None]
+    plans = ([FaultPlan.parse(spec)] if spec is not None
+             else [FaultPlan(drop_prob=d, corrupt_prob=d / 4)
+                   for d in (0.0, 0.02, 0.1)])
+    params = MessageRateParams(msg_size=8, batch=50, total_msgs=total,
+                               inject_rate_kps=None)
+    seeds = repeat_seeds(repeats or 1)
+    points = _sweep([RunSpec("message_rate", cfg, params, seed, faults=plan)
+                     for cfg in configs for plan in plans for seed in seeds],
+                    len(seeds))
     series = []
     counters: Dict[str, Dict[str, float]] = {}
     for cfg in configs:
         s = Series(label=cfg)
-        for i, drop in enumerate(drops):
-            plan = (FaultPlan.parse(spec) if spec is not None
-                    else FaultPlan(drop_prob=drop, corrupt_prob=drop / 4))
-            params = MessageRateParams(msg_size=8, batch=50,
-                                       total_msgs=total,
-                                       inject_rate_kps=None,
-                                       platform=EXPANSE)
-            res = repeat(lambda seed, plan=plan:
-                         run_message_rate(cfg, params, seed,
-                                          fault_plan=plan).as_dict(),
-                         n=repeats)
-            x = drop if drop is not None else float(i)
-            s.add(x, res["message_rate_kps"])
-            if plan is not None and not plan.is_zero:
+        for i, plan in enumerate(plans):
+            res = next(points)
+            s.add(plan.drop_prob if spec is None else float(i),
+                  res["message_rate_kps"])
+            if not plan.is_zero:
                 counters[f"{cfg}@{plan.describe()}"] = {
                     k: m.mean for k, m in res.items()
                     if k.startswith("fault.") or k == "failed_msgs"}
@@ -492,26 +491,25 @@ def overload_smoke(quick: bool = True, repeats: Optional[int] = None,
     """
     from ..flow import FlowControlPolicy
 
-    repeats = repeats or 1
     total = 600 if quick else 3000
     plan = FaultPlan.parse(spec if spec is not None else OVERLOAD_SPEC)
     flow = FlowControlPolicy(credit_window=4, max_backlog=64,
                              max_queued_parcels=256,
                              rendezvous_fallback_after=2)
+    params = MessageRateParams(msg_size=8, batch=50, total_msgs=total,
+                               inject_rate_kps=None)
+    seeds = repeat_seeds(repeats or 1)
+    levels = ((0.0, None), (1.0, plan))
+    points = _sweep([RunSpec("message_rate", cfg, params, seed,
+                             faults=active_plan, flow=flow)
+                     for cfg in OVERLOAD_CONFIGS for _x, active_plan in levels
+                     for seed in seeds], len(seeds))
     series = []
     counters: Dict[str, Dict[str, float]] = {}
     for cfg in OVERLOAD_CONFIGS:
         s = Series(label=cfg)
-        for x, active_plan in ((0.0, None), (1.0, plan)):
-            params = MessageRateParams(msg_size=8, batch=50,
-                                       total_msgs=total,
-                                       inject_rate_kps=None,
-                                       platform=EXPANSE)
-            res = repeat(lambda seed, active_plan=active_plan:
-                         run_message_rate(cfg, params, seed,
-                                          fault_plan=active_plan,
-                                          flow_policy=flow).as_dict(),
-                         n=repeats)
+        for x, active_plan in levels:
+            res = next(points)
             s.add(x, res["message_rate_kps"])
             if active_plan is not None:
                 counters[f"{cfg}@{plan.describe()}"] = {
@@ -561,8 +559,9 @@ def trace_smoke(quick: bool = True, repeats: Optional[int] = None,
     dominant: Dict[str, str] = {}
     runs = []
     for cfg in configs:
-        params = LatencyParams(msg_size=8, window=window, steps=steps)
-        res = run_latency(cfg, params, trace=spec)
+        res = run(RunSpec("latency", cfg,
+                          LatencyParams(msg_size=8, window=window,
+                                        steps=steps), trace=spec))
         rep = analyze(res.obs)
         s = Series(label=cfg)
         s.xs.append(float(window))
@@ -611,10 +610,21 @@ def trace_smoke(quick: bool = True, repeats: Optional[int] = None,
 FFT_CONFIGS = ["lci_psr_cq_pin_i", "lci_sr_cq_pin_i", "mpi", "mpi_i",
                "mpi_orig"]
 
-#: flow-control knobs for the incast runs: a 4-message credit window and
-#: a shallow sender backlog, so the transpose fan-in visibly engages
-#: credit stalls and deferred sends at the top of the size ladder
-FFT_FLOW = {"credit_window": 4, "max_backlog": 8}
+
+def _critical_path(res: RunResult) -> "tuple[Dict[str, float], str, str]":
+    """``(shares, report, dominant)`` of a traced run: the percentage of
+    delivery latency spent in the flow backlog, under the progress lock,
+    polling and on the wire, plus the rendered report and dominant stage.
+    """
+    from ..obs import analyze
+
+    rep = analyze(res.obs)
+    shares = rep.shares()
+    return ({"backlog_pct": 100 * shares.get("backlog_wait", 0.0),
+             "lock_wait_pct": 100 * shares.get("progress_lock_wait", 0.0),
+             "poll_pct": 100 * shares.get("progress_poll", 0.0),
+             "wire_pct": 100 * shares.get("wire", 0.0)},
+            rep.render(), rep.dominant)
 
 
 def _fft_breakdown(cfg: str, n: int, n_loc: int, seed: int
@@ -626,13 +636,10 @@ def _fft_breakdown(cfg: str, n: int, n_loc: int, seed: int
     sends, and the share of delivery latency spent in the flow backlog
     vs under the MPI progress lock vs in LCI polling.
     """
-    from ..obs import analyze
-    from .fft_bench import FftBenchParams, run_fft
-
-    params = FftBenchParams(n1=n, n2=n, n_localities=n_loc, **FFT_FLOW)
-    res = run_fft(cfg, params, seed=seed, trace="parcel")
-    rep = analyze(res.obs)
-    shares = rep.shares()
+    res = run(RunSpec("fft", cfg, FftBenchParams(n1=n, n2=n,
+                                                 n_localities=n_loc),
+                      seed, flow=FFT_FLOW, trace="parcel"))
+    shares, report, dominant = _critical_path(res)
     counters = {
         "row_fft1_us": res.phase_times_us["row_fft1"],
         "transpose_us": res.phase_times_us["transpose"],
@@ -640,12 +647,9 @@ def _fft_breakdown(cfg: str, n: int, n_loc: int, seed: int
         "credit_stalls": float(res.faults.get("credit_stalls", 0)),
         "backlogged_sends": float(res.faults.get("backlogged_sends", 0)),
         "puts_deferred": float(res.faults.get("puts_deferred", 0)),
-        "backlog_pct": 100 * shares.get("backlog_wait", 0.0),
-        "lock_wait_pct": 100 * shares.get("progress_lock_wait", 0.0),
-        "poll_pct": 100 * shares.get("progress_poll", 0.0),
-        "wire_pct": 100 * shares.get("wire", 0.0),
+        **shares,
     }
-    return counters, rep.render(), rep.dominant
+    return counters, report, dominant
 
 
 def fft_smoke(quick: bool = True, repeats: Optional[int] = None
@@ -661,12 +665,11 @@ def fft_smoke(quick: bool = True, repeats: Optional[int] = None
     """
     n = 16 if quick else 32
     n_loc = 4
-    seed = _seeds(1)[0]
+    seed = repeat_seeds(1)[0]
     series: List[Series] = []
     counters: Dict[str, Dict[str, float]] = {}
     reports: Dict[str, str] = {}
     dominant: Dict[str, str] = {}
-    from .fft_bench import FftBenchParams
     x = float(FftBenchParams(n1=n, n2=n,
                              n_localities=n_loc).transpose_msg_bytes)
     for cfg in FFT_CONFIGS:
@@ -686,7 +689,7 @@ def fft_smoke(quick: bool = True, repeats: Optional[int] = None
                         f"(all-to-all incast, flow control on)",
                         series, x_name="msg_bytes", y_name="Mpoints/s",
                         meta={"n": n, "n_localities": n_loc,
-                              "flow": dict(FFT_FLOW), "counters": counters,
+                              "flow": FFT_FLOW, "counters": counters,
                               "reports": reports, "dominant": dominant})
 
 
@@ -707,18 +710,18 @@ def fft_sweep(quick: bool = True, repeats: Optional[int] = None
     repeats = repeats or (1 if quick else 3)
     n_loc = 4 if quick else 8
     sizes = [16, 32, 64] if quick else [32, 64, 128]
-    seeds = _seeds(repeats)
-    from .fft_bench import FftBenchParams
-    tasks = [fft_task(cfg, n1=n, n2=n, n_localities=n_loc,
-                      platform=EXPANSE, seed=seed, **FFT_FLOW)
+    seeds = repeat_seeds(repeats)
+    specs = [RunSpec("fft", cfg, FftBenchParams(n1=n, n2=n,
+                                                n_localities=n_loc),
+                     seed, flow=FFT_FLOW)
              for cfg in FFT_CONFIGS for n in sizes for seed in seeds]
-    results = iter(run_points(tasks))
+    points = _sweep(specs, len(seeds))
     series = []
     top_counters: Dict[str, Dict[str, float]] = {}
     for cfg in FFT_CONFIGS:
         s = Series(label=cfg)
         for n in sizes:
-            res = _fold([next(results) for _ in seeds])
+            res = next(points)
             x = float(FftBenchParams(
                 n1=n, n2=n, n_localities=n_loc).transpose_msg_bytes)
             s.add(x, res["points_per_second"])
@@ -742,7 +745,7 @@ def fft_sweep(quick: bool = True, repeats: Optional[int] = None
                         f"(all-to-all incast, flow control on)",
                         series, x_name="msg_bytes", y_name="points/s",
                         meta={"sizes": sizes, "n_localities": n_loc,
-                              "repeats": repeats, "flow": dict(FFT_FLOW),
+                              "repeats": repeats, "flow": FFT_FLOW,
                               "counters": top_counters,
                               "reports": reports, "dominant": dominant})
 
@@ -756,12 +759,6 @@ def fft_sweep(quick: bool = True, repeats: Optional[int] = None
 #: and the original MPI parcelport — the FFT/overload comparison set
 SERVE_CONFIGS = ["lci_psr_cq_pin_i", "lci_sr_cq_pin_i", "mpi", "mpi_i",
                  "mpi_orig"]
-
-#: flow-control knobs for the serving runs: an 8-message credit window
-#: with shallow shed-mode backlogs, so past saturation the stack rejects
-#: excess requests (``ParcelShedError``) instead of queueing unboundedly
-SERVE_FLOW = {"credit_window": 8, "max_backlog": 16,
-              "max_queued_parcels": 64}
 
 #: SLO-attainment threshold that defines the saturation knee
 SERVE_SLO_TARGET = 0.9
@@ -795,11 +792,12 @@ def find_knee(loads: Sequence[float], attainments: Sequence[float],
     return knee
 
 
-def _serve_params(offered_kps: float, horizon_us: float):
-    from .serve_bench import ServeBenchParams
-
-    return ServeBenchParams(offered_kps=offered_kps, horizon_us=horizon_us,
-                            **SERVE_FLOW)
+def _serve_spec(cfg: str, offered_kps: float, horizon_us: float,
+                seed: int, trace: Optional[str] = None) -> RunSpec:
+    return RunSpec("serve", cfg,
+                   ServeBenchParams(offered_kps=offered_kps,
+                                    horizon_us=horizon_us),
+                   seed, flow=SERVE_FLOW, trace=trace)
 
 
 def _serve_counters(d: Dict[str, float]) -> Dict[str, float]:
@@ -821,21 +819,10 @@ def _serve_breakdown(cfg: str, offered_kps: float, horizon_us: float,
     and the share of delivered-parcel latency spent in the shed-mode
     backlog vs under the MPI progress lock vs in LCI polling.
     """
-    from ..obs import analyze
-    from .serve_bench import run_serve
-
-    res = run_serve(cfg, _serve_params(offered_kps, horizon_us), seed=seed,
-                    trace="parcel")
-    rep = analyze(res.obs)
-    shares = rep.shares()
-    ctrs = _serve_counters(res.as_dict())
-    ctrs.update({
-        "backlog_pct": 100 * shares.get("backlog_wait", 0.0),
-        "lock_wait_pct": 100 * shares.get("progress_lock_wait", 0.0),
-        "poll_pct": 100 * shares.get("progress_poll", 0.0),
-        "wire_pct": 100 * shares.get("wire", 0.0),
-    })
-    return ctrs, rep.render(), rep.dominant
+    res = run(_serve_spec(cfg, offered_kps, horizon_us, seed,
+                          trace="parcel"))
+    shares, report, dominant = _critical_path(res)
+    return {**_serve_counters(res.as_dict()), **shares}, report, dominant
 
 
 def serve_smoke(quick: bool = True, repeats: Optional[int] = None
@@ -852,17 +839,15 @@ def serve_smoke(quick: bool = True, repeats: Optional[int] = None
     per seed, so ``repeats`` is accepted for CLI uniformity but a single
     seed is measured.
     """
-    from .serve_bench import run_serve
-
     horizon = 2000.0 if quick else 4000.0
-    seed = _seeds(1)[0]
+    seed = repeat_seeds(1)[0]
     series: List[Series] = []
     counters: Dict[str, Dict[str, float]] = {}
     reports: Dict[str, str] = {}
     dominant: Dict[str, str] = {}
-    for cfg in SERVE_CONFIGS:
-        light = run_serve(cfg, _serve_params(_SERVE_LIGHT_KPS, horizon),
-                          seed=seed).as_dict()
+    lights = run_points([_serve_spec(cfg, _SERVE_LIGHT_KPS, horizon, seed)
+                         for cfg in SERVE_CONFIGS])
+    for cfg, light in zip(SERVE_CONFIGS, lights):
         heavy_ctrs, report, dom = _serve_breakdown(
             cfg, _SERVE_HEAVY_KPS, horizon, seed)
         s = Series(label=cfg)
@@ -881,7 +866,7 @@ def serve_smoke(quick: bool = True, repeats: Optional[int] = None
                               "light_kps": _SERVE_LIGHT_KPS,
                               "heavy_kps": _SERVE_HEAVY_KPS,
                               "slo_target": SERVE_SLO_TARGET,
-                              "flow": dict(SERVE_FLOW),
+                              "flow": SERVE_FLOW,
                               "counters": counters, "reports": reports,
                               "dominant": dominant})
 
@@ -903,12 +888,10 @@ def serve_sweep(quick: bool = True, repeats: Optional[int] = None
     repeats = repeats or 1
     loads = _SERVE_LOADS_QUICK if quick else _SERVE_LOADS_FULL
     horizon = 2000.0 if quick else 4000.0
-    seeds = _seeds(repeats)
-    tasks = [serve_task(cfg, offered_kps=kps, horizon_us=horizon,
-                        n_localities=4, platform=EXPANSE, seed=seed,
-                        **SERVE_FLOW)
-             for cfg in SERVE_CONFIGS for kps in loads for seed in seeds]
-    results = iter(run_points(tasks))
+    seeds = repeat_seeds(repeats)
+    points = _sweep([_serve_spec(cfg, kps, horizon, seed)
+                     for cfg in SERVE_CONFIGS for kps in loads
+                     for seed in seeds], len(seeds))
     series = []
     attainment: Dict[str, List[float]] = {}
     p99: Dict[str, List[float]] = {}
@@ -919,7 +902,7 @@ def serve_sweep(quick: bool = True, repeats: Optional[int] = None
         att: List[float] = []
         tail: List[float] = []
         for kps in loads:
-            res = _fold([next(results) for _ in seeds])
+            res = next(points)
             s.add(kps, res["goodput_kps"])
             att.append(res["slo_attainment"].mean)
             tail.append(res["p99_us"].mean)
@@ -937,7 +920,7 @@ def serve_sweep(quick: bool = True, repeats: Optional[int] = None
                         meta={"loads": list(loads), "horizon_us": horizon,
                               "repeats": repeats,
                               "slo_target": SERVE_SLO_TARGET,
-                              "flow": dict(SERVE_FLOW),
+                              "flow": SERVE_FLOW,
                               "knees": knees, "attainment": attainment,
                               "p99_us": p99, "counters": top_counters})
 
@@ -960,20 +943,22 @@ def adapt_smoke(quick: bool = True,
     cfg = "lci_psr_cq_pin"
     spec = AdaptiveSpec(agg_hold_init=1024, agg_hold_max=16384)
     rates = [400.0, None]
-    seeds = _seeds(repeats)
-    variants = [(cfg, None), (f"{cfg}+adapt", spec.as_dict())]
-    tasks = [message_rate_task(cfg, msg_size=8, batch=100, total_msgs=total,
-                               inject_rate_kps=rate, platform=EXPANSE,
-                               seed=seed, adapt=adapt)
+    seeds = repeat_seeds(repeats)
+    variants = [(cfg, None), (f"{cfg}+adapt", spec)]
+    specs = [RunSpec("message_rate", cfg,
+                     MessageRateParams(msg_size=8, batch=100,
+                                       total_msgs=total,
+                                       inject_rate_kps=rate),
+                     seed, adapt=adapt)
              for _label, adapt in variants for rate in rates
              for seed in seeds]
-    results = iter(run_points(tasks))
+    points = _sweep(specs, len(seeds))
     series = []
     counters: Dict[str, Dict[str, float]] = {}
     for label, adapt in variants:
         s = Series(label=label)
         for _rate in rates:
-            res = _fold([next(results) for _ in seeds])
+            res = next(points)
             s.add(res["achieved_injection_kps"].mean,
                   res["message_rate_kps"])
         if adapt is not None:

@@ -9,12 +9,12 @@ seed, which perturbs workload jitter and tree refinement).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Sequence
+from typing import Any, Callable, Dict, Iterable, List
 
 from ..sim.stats import summarize
 from .seeds import REPEAT_BASE, repeat_seeds
 
-__all__ = ["Measurement", "repeat", "Series"]
+__all__ = ["Measurement", "fold", "repeat", "Series"]
 
 
 @dataclass
@@ -39,6 +39,15 @@ class Measurement:
         return f"{self.mean:.3g}±{self.std:.2g}"
 
 
+def fold(results: Iterable[Dict[str, float]]) -> Dict[str, Measurement]:
+    """Aggregate per-repetition result dicts into one Measurement per key."""
+    acc: Dict[str, List[float]] = {}
+    for out in results:
+        for k, v in out.items():
+            acc.setdefault(k, []).append(float(v))
+    return {k: Measurement(v) for k, v in acc.items()}
+
+
 def repeat(fn: Callable[..., Dict[str, float]], n: int = 3,
            base_seed: int = REPEAT_BASE,
            fn_kwargs: "Dict[str, Any] | None" = None
@@ -52,12 +61,7 @@ def repeat(fn: Callable[..., Dict[str, float]], n: int = 3,
     plan) through to every repetition without wrapping ``fn`` in a lambda.
     """
     kw = fn_kwargs or {}
-    acc: Dict[str, List[float]] = {}
-    for seed in repeat_seeds(n, base=base_seed):
-        out = fn(seed, **kw)
-        for k, v in out.items():
-            acc.setdefault(k, []).append(float(v))
-    return {k: Measurement(v) for k, v in acc.items()}
+    return fold(fn(seed, **kw) for seed in repeat_seeds(n, base=base_seed))
 
 
 @dataclass

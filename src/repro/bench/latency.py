@@ -8,16 +8,13 @@ every pong is a separate HPX task.  One-way latency = total time /
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
-from typing import Any, Dict, Optional
+from dataclasses import dataclass, replace
+from typing import Dict
 
-from ..faults import FaultPlan, RetryPolicy
-from ..flow import FlowControlPolicy
 from ..hpx_rt.platform import EXPANSE, PlatformSpec
-from ..parcelport import PPConfig
-from .. import make_runtime
+from .runner import RunResult, Workload
 
-__all__ = ["LatencyParams", "LatencyResult", "run_latency"]
+__all__ = ["LatencyParams", "LatencyResult", "WORKLOAD"]
 
 
 @dataclass(frozen=True)
@@ -33,60 +30,37 @@ class LatencyParams:
 
 
 @dataclass
-class LatencyResult:
-    config: str
-    params: LatencyParams
+class LatencyResult(RunResult):
     total_time_us: float
     #: ping-pong chains killed by a message failure (faults only)
     failed_chains: int = 0
-    #: merged fault counters from the runtime (empty without a fault plan)
-    faults: Dict[str, int] = field(default_factory=dict)
-    #: the run's SpanRecorder when tracing was requested (else None);
-    #: deliberately excluded from :meth:`as_dict` so traced and untraced
-    #: runs report byte-identical results
-    obs: Any = None
-    #: the run's MetricsRegistry when tracing was requested (else None)
-    metrics: Any = None
 
     @property
     def one_way_latency_us(self) -> float:
         """Average one-way message latency (the paper's y axis)."""
         return self.total_time_us / (2 * self.params.steps)
 
-    def as_dict(self) -> Dict[str, float]:
+    def workload_dict(self) -> Dict[str, float]:
         out = {"one_way_latency_us": self.one_way_latency_us}
         if self.faults or self.failed_chains:
             out["failed_chains"] = float(self.failed_chains)
-            for k, v in sorted(self.faults.items()):
-                out[f"fault.{k}"] = float(v)
         return out
 
 
-def run_latency(config: "PPConfig | str", params: LatencyParams,
-                seed: int = 0xC0FFEE,
-                fault_plan: Optional[FaultPlan] = None,
-                retry_policy: Optional[RetryPolicy] = None,
-                flow_policy: Optional[FlowControlPolicy] = None,
-                trace: "str | bool | None" = None) -> LatencyResult:
+def drive(rt, p: LatencyParams) -> LatencyResult:
     """One latency run: ``window`` chains × ``steps`` round trips.
 
-    With a ``fault_plan``, a chain whose ping or pong exhausts its retries
-    is counted as failed and released — the run still terminates.  A
-    ``flow_policy`` adds credit/backlog throttling (a shed ping or pong
-    likewise kills its chain).
+    Under faults, a chain whose ping or pong exhausts its retries is
+    counted as failed and released — the run still terminates.  Flow
+    control adds credit/backlog throttling (a shed ping or pong likewise
+    kills its chain).
     """
-    if isinstance(config, str):
-        config = PPConfig.parse(config)
-    p = params
-    rt = make_runtime(config, platform=p.platform, n_localities=2, seed=seed,
-                      fault_plan=fault_plan, retry_policy=retry_policy,
-                      flow_policy=flow_policy, trace=trace)
     sim = rt.sim
     done = rt.new_latch(p.window)
     size = p.msg_size
     state = {"failed_chains": 0}
 
-    if fault_plan is not None or flow_policy is not None:
+    if rt.fault_plan is not None or rt.flow_policy is not None:
         def on_fail(parcel, exc):
             # Exactly one ping or pong is in flight per chain, so a failed
             # parcel kills exactly one chain: release its latch slot.
@@ -121,11 +95,9 @@ def run_latency(config: "PPConfig | str", params: LatencyParams,
     rt.boot()
     rt.locality(0).spawn(starter, name="latency_start")
     rt.run_until(done, max_events=p.max_events)
-    return LatencyResult(config=config.label, params=p,
-                         total_time_us=sim.now,
-                         failed_chains=state["failed_chains"],
-                         faults=rt.fault_summary()
-                         if (fault_plan is not None or flow_policy is not None)
-                         else {},
-                         obs=rt.obs,
-                         metrics=rt.metrics() if rt.obs is not None else None)
+    return LatencyResult(total_time_us=sim.now,
+                         failed_chains=state["failed_chains"])
+
+
+WORKLOAD = Workload(LatencyParams, drive,
+                    lambda p, flow: {"n_localities": 2})

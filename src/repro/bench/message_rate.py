@@ -16,16 +16,13 @@ Rates are reported in K messages/s of *virtual* time.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
-from typing import Any, Dict, List, Optional
+from dataclasses import dataclass, replace
+from typing import Dict, Optional
 
-from ..faults import FaultPlan, RetryPolicy
-from ..flow import FlowControlPolicy
 from ..hpx_rt.platform import EXPANSE, PlatformSpec
-from ..parcelport import PPConfig, make_parcelport_factory
-from .. import make_runtime
+from .runner import RunResult, Workload
 
-__all__ = ["MessageRateParams", "MessageRateResult", "run_message_rate"]
+__all__ = ["MessageRateParams", "MessageRateResult", "WORKLOAD"]
 
 
 @dataclass(frozen=True)
@@ -45,24 +42,12 @@ class MessageRateParams:
 
 
 @dataclass
-class MessageRateResult:
-    config: str
-    params: MessageRateParams
+class MessageRateResult(RunResult):
     inject_time_us: float
     comm_time_us: float
     total_msgs: int
     #: messages reported failed after exhausting retries (faults only)
     failed_msgs: int = 0
-    #: merged fault counters from the runtime (empty without a fault plan)
-    faults: Dict[str, int] = field(default_factory=dict)
-    #: the run's SpanRecorder when tracing was requested (else None);
-    #: deliberately excluded from :meth:`as_dict` so traced and untraced
-    #: runs report byte-identical results
-    obs: Any = None
-    #: the run's MetricsRegistry when tracing was requested (else None)
-    metrics: Any = None
-    #: AdaptiveController summary (empty without adaptation)
-    adapt: Dict[str, float] = field(default_factory=dict)
 
     @property
     def achieved_injection_kps(self) -> float:
@@ -74,53 +59,31 @@ class MessageRateResult:
         """K messages per second received (paper's y axis)."""
         return self.total_msgs / self.comm_time_us * 1e3
 
-    def as_dict(self) -> Dict[str, float]:
+    def workload_dict(self) -> Dict[str, float]:
         out = {
             "achieved_injection_kps": self.achieved_injection_kps,
             "message_rate_kps": self.message_rate_kps,
         }
         # Keep the fault-free dict exactly as before (byte-identical
-        # reporting); fault keys appear only when a plan was active.
+        # reporting); the failure count appears only when a plan was active.
         if self.faults or self.failed_msgs:
             out["failed_msgs"] = float(self.failed_msgs)
-            for k, v in sorted(self.faults.items()):
-                out[f"fault.{k}"] = float(v)
-        # Same contract for adaptation: keys appear only when it ran.
-        for k, v in sorted(self.adapt.items()):
-            out[f"adapt.{k}"] = float(v)
         return out
 
 
-def run_message_rate(config: "PPConfig | str", params: MessageRateParams,
-                     seed: int = 0xC0FFEE,
-                     fault_plan: Optional[FaultPlan] = None,
-                     retry_policy: Optional[RetryPolicy] = None,
-                     flow_policy: Optional[FlowControlPolicy] = None,
-                     trace: "str | bool | None" = None,
-                     adapt: Any = None
-                     ) -> MessageRateResult:
-    """One full message-rate run for one configuration.
+def drive(rt, p: MessageRateParams) -> MessageRateResult:
+    """One full message-rate run on a built runtime.
 
-    With a ``fault_plan``, messages may be dropped/corrupted and the
-    parcelport retransmits them; messages that exhaust their retries are
-    counted as failed and the benchmark still terminates (no hang).
-    With a ``flow_policy``, senders are throttled (or shed) instead of
-    growing unbounded queues when the receiver falls behind.
+    Under faults, messages may be dropped/corrupted and the parcelport
+    retransmits them; messages that exhaust their retries are counted as
+    failed and the benchmark still terminates (no hang).  Under flow
+    control, senders are throttled (or shed) instead of growing unbounded
+    queues when the receiver falls behind.
     """
-    if isinstance(config, str):
-        config = PPConfig.parse(config)
-    p = params
     n_tasks, rem = divmod(p.total_msgs, p.batch)
     if rem:
         raise ValueError("total_msgs must be a multiple of batch")
-    kw: Dict[str, Any] = {}
-    if adapt is not None:
-        kw["adapt"] = adapt
-    rt = make_runtime(config, platform=p.platform, n_localities=2, seed=seed,
-                      fault_plan=fault_plan, retry_policy=retry_policy,
-                      flow_policy=flow_policy, trace=trace, **kw)
     sim = rt.sim
-
     state = {"received": 0, "failed": 0, "tasks_done": 0,
              "t_inject": None, "t_comm": None}
     done = rt.new_future()
@@ -143,7 +106,7 @@ def run_message_rate(config: "PPConfig | str", params: MessageRateParams,
     rt.register_action("sink", sink)
     rt.register_action("ack", ack)
 
-    if fault_plan is not None or flow_policy is not None:
+    if rt.fault_plan is not None or rt.flow_policy is not None:
         def on_fail(parcel, exc):
             if parcel.action == "sink":
                 state["failed"] += 1
@@ -186,13 +149,11 @@ def run_message_rate(config: "PPConfig | str", params: MessageRateParams,
     sim.process(injector(), name="injector")
     rt.run_until(done, max_events=p.max_events)
     assert state["t_inject"] is not None and state["t_comm"] is not None
-    return MessageRateResult(
-        config=config.label, params=p,
-        inject_time_us=state["t_inject"], comm_time_us=state["t_comm"],
-        total_msgs=p.total_msgs,
-        failed_msgs=state["failed"],
-        faults=rt.fault_summary()
-        if (fault_plan is not None or flow_policy is not None) else {},
-        obs=rt.obs,
-        metrics=rt.metrics() if rt.obs is not None else None,
-        adapt=rt.adapt.summary() if rt.adapt is not None else {})
+    return MessageRateResult(inject_time_us=state["t_inject"],
+                             comm_time_us=state["t_comm"],
+                             total_msgs=p.total_msgs,
+                             failed_msgs=state["failed"])
+
+
+WORKLOAD = Workload(MessageRateParams, drive,
+                    lambda p, flow: {"n_localities": 2})

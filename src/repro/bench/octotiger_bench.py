@@ -1,16 +1,15 @@
-"""Octo-Tiger application benchmark (§5, Figs 10–11)."""
+"""Octo-Tiger application workload (§5, Figs 10–11)."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Dict, Optional
+from typing import Dict
 
 from ..apps.octotiger import OctoTigerConfig, OctoTigerDriver
 from ..hpx_rt.platform import EXPANSE, PlatformSpec
-from ..parcelport import PPConfig
-from .. import make_runtime
+from .runner import RunResult, Workload
 
-__all__ = ["OctoTigerBenchParams", "run_octotiger"]
+__all__ = ["OctoTigerBenchParams", "OctoTigerBenchResult", "WORKLOAD"]
 
 
 @dataclass(frozen=True)
@@ -25,29 +24,31 @@ class OctoTigerBenchParams:
         return replace(self, **kw)
 
 
-def run_octotiger(config: "PPConfig | str", params: OctoTigerBenchParams,
-                  seed: int = 0xC0FFEE) -> Dict[str, float]:
-    """One Octo-Tiger run; returns the Fig 10/11 metric (steps/s) and
-    structure counters."""
-    from ..sim.shard.context import ShardingUnsupported, current_context
-    ctx = current_context()
-    if ctx is not None and ctx.n_shards > 1:
-        raise ShardingUnsupported(
-            "the octotiger proxy's result depends on cross-locality "
-            "scheduler state that the sharded engine does not merge; "
-            "run it without --shards")
-    if isinstance(config, str):
-        config = PPConfig.parse(config)
-    p = params
-    rt = make_runtime(config, platform=p.platform,
-                      n_localities=p.n_localities, seed=seed)
-    ot_cfg = OctoTigerConfig.for_paper_level(p.paper_level,
-                                             n_steps=p.n_steps)
-    driver = OctoTigerDriver(rt, ot_cfg)
-    result = driver.run(max_events=p.max_events)
-    out: Dict[str, float] = {
-        "steps_per_second": result.steps_per_second,
-        "total_time_us": result.total_time_us,
-    }
-    out.update({k: float(v) for k, v in result.census.items()})
-    return out
+@dataclass
+class OctoTigerBenchResult(RunResult):
+    steps_per_second: float   #: the Fig 10/11 metric
+    total_time_us: float
+    census: Dict[str, int]    #: octree structure counters
+
+    def workload_dict(self) -> Dict[str, float]:
+        out = {"steps_per_second": self.steps_per_second,
+               "total_time_us": self.total_time_us}
+        out.update({k: float(v) for k, v in self.census.items()})
+        return out
+
+
+def drive(rt, p: OctoTigerBenchParams) -> OctoTigerBenchResult:
+    """One Octo-Tiger run on a built runtime."""
+    cfg = OctoTigerConfig.for_paper_level(p.paper_level, n_steps=p.n_steps)
+    result = OctoTigerDriver(rt, cfg).run(max_events=p.max_events)
+    return OctoTigerBenchResult(steps_per_second=result.steps_per_second,
+                                total_time_us=result.total_time_us,
+                                census=dict(result.census))
+
+
+WORKLOAD = Workload(
+    OctoTigerBenchParams, drive,
+    lambda p, flow: {"n_localities": p.n_localities},
+    unshardable="the octotiger proxy's result depends on cross-locality "
+                "scheduler state that the sharded engine does not merge; "
+                "run it without --shards")

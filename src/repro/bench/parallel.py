@@ -6,16 +6,15 @@ the seed repo ran strictly sequentially.  This module provides the three
 pieces that remove that serialization without changing a single simulated
 number:
 
-* :class:`PointTask` — a picklable, canonically-serializable description of
-  one sweep point (workload kind + config label + primitive params + seed),
-  evaluated by the top-level :func:`evaluate_point` so it can cross a
-  ``ProcessPoolExecutor`` boundary.
+* :func:`evaluate_point` — runs one :class:`~repro.bench.runner.RunSpec`
+  (picklable, canonically serializable) and returns its flat metric dict;
+  top-level so it can cross a ``ProcessPoolExecutor`` boundary.
 * :class:`ResultCache` — a content-addressed on-disk cache.  The key is
-  ``sha256(code fingerprint ‖ canonical task JSON)`` where the code
+  ``sha256(code fingerprint ‖ canonical spec JSON)`` where the code
   fingerprint hashes every ``repro`` source file, so re-running a figure
   after an *unrelated* edit outside ``src/repro`` is a cache hit while any
   change to the simulator code invalidates everything.
-* :func:`run_points` — evaluates a task list under the active
+* :func:`run_points` — evaluates a spec list under the active
   :class:`ExecutionPolicy` (``--jobs N`` fans misses across worker
   processes; results always return in input order, so parallel output is
   element-wise identical to sequential).
@@ -30,17 +29,18 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import tempfile
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Callable, Dict, Iterator, List, Optional, Sequence
 
+from .runner import RunSpec, refuse_under_shards, run
+
 __all__ = [
-    "PointTask", "ResultCache", "ExecutionPolicy",
+    "ResultCache", "ExecutionPolicy",
     "code_fingerprint", "evaluate_point", "run_points",
-    "message_rate_task", "latency_task", "octotiger_task", "fft_task",
-    "serve_task",
     "set_policy", "policy", "execution",
 ]
 
@@ -48,7 +48,7 @@ __all__ = [
 CACHE_ENV = "REPRO_CACHE_DIR"
 
 #: on-disk cache entry schema tag
-CACHE_SCHEMA = "repro-cache/1"
+CACHE_SCHEMA = "repro-cache/2"
 
 
 # ---------------------------------------------------------------------------
@@ -82,108 +82,7 @@ def code_fingerprint(refresh: bool = False) -> str:
 # ---------------------------------------------------------------------------
 # sweep points
 # ---------------------------------------------------------------------------
-@dataclass(frozen=True)
-class PointTask:
-    """One independent sweep point: fully picklable, canonically hashable."""
-
-    kind: str                    #: "message_rate" | "latency" | "octotiger"
-    config: str                  #: parcelport configuration label
-    params: Dict[str, Any]       #: primitive workload parameters
-    seed: int
-
-    def canonical(self) -> str:
-        """Canonical JSON (sorted keys, fixed separators) for cache keys."""
-        return json.dumps({"kind": self.kind, "config": self.config,
-                           "params": self.params, "seed": self.seed},
-                          sort_keys=True, separators=(",", ":"))
-
-
-def _platform(name: str):
-    from ..hpx_rt.platform import EXPANSE, LAPTOP, ROSTAM
-    try:
-        return {"expanse": EXPANSE, "rostam": ROSTAM,
-                "laptop": LAPTOP}[name]
-    except KeyError:
-        raise ValueError(f"unknown platform {name!r} (parallel sweep points "
-                         f"serialize platforms by name)") from None
-
-
-def message_rate_task(config: str, *, msg_size: int, batch: int,
-                      total_msgs: int, inject_rate_kps: Optional[float],
-                      platform, seed: int,
-                      adapt: Optional[Dict[str, Any]] = None,
-                      max_events: int = 30_000_000) -> PointTask:
-    params = {"msg_size": msg_size, "batch": batch,
-              "total_msgs": total_msgs,
-              "inject_rate_kps": inject_rate_kps,
-              "platform": platform.name,
-              "max_events": max_events}
-    if adapt is not None:
-        # Key appears only when adaptation is on, so every pre-existing
-        # cache key (and its cached result) stays valid.
-        params["adapt"] = dict(adapt)
-    return PointTask("message_rate", config, params, seed)
-
-
-def latency_task(config: str, *, msg_size: int, window: int, steps: int,
-                 platform, seed: int,
-                 max_events: int = 20_000_000) -> PointTask:
-    return PointTask("latency", config,
-                     {"msg_size": msg_size, "window": window,
-                      "steps": steps, "platform": platform.name,
-                      "max_events": max_events}, seed)
-
-
-def octotiger_task(config: str, *, platform, n_localities: int,
-                   paper_level: int, n_steps: int, seed: int,
-                   max_events: int = 60_000_000) -> PointTask:
-    return PointTask("octotiger", config,
-                     {"platform": platform.name,
-                      "n_localities": n_localities,
-                      "paper_level": paper_level, "n_steps": n_steps,
-                      "max_events": max_events}, seed)
-
-
-def fft_task(config: str, *, n1: int, n2: int, n_localities: int,
-             platform, seed: int, iterations: int = 1,
-             fragment: bool = True, credit_window: int = 0,
-             max_backlog: int = 0,
-             adapt: Optional[Dict[str, Any]] = None,
-             max_events: int = 20_000_000) -> PointTask:
-    params = {"n1": n1, "n2": n2, "n_localities": n_localities,
-              "iterations": iterations, "fragment": fragment,
-              "credit_window": credit_window,
-              "max_backlog": max_backlog,
-              "platform": platform.name,
-              "max_events": max_events}
-    if adapt is not None:
-        params["adapt"] = dict(adapt)
-    return PointTask("fft", config, params, seed)
-
-
-def serve_task(config: str, *, offered_kps: float, horizon_us: float,
-               n_localities: int, platform, seed: int,
-               arrival: str = "poisson", slo_us: float = 200.0,
-               drain_us: float = 2000.0, n_clients: int = 1_000_000,
-               credit_window: int = 8, max_backlog: int = 16,
-               max_queued_parcels: int = 64,
-               adapt: Optional[Dict[str, Any]] = None,
-               max_events: int = 30_000_000) -> PointTask:
-    params = {"offered_kps": offered_kps, "horizon_us": horizon_us,
-              "n_localities": n_localities, "arrival": arrival,
-              "slo_us": slo_us, "drain_us": drain_us,
-              "n_clients": n_clients,
-              "credit_window": credit_window,
-              "max_backlog": max_backlog,
-              "max_queued_parcels": max_queued_parcels,
-              "platform": platform.name,
-              "max_events": max_events}
-    if adapt is not None:
-        params["adapt"] = dict(adapt)
-    return PointTask("serve", config, params, seed)
-
-
-def evaluate_point(task: PointTask) -> Dict[str, float]:
+def evaluate_point(spec: RunSpec) -> Dict[str, float]:
     """Run one sweep point and return its flat metric dict.
 
     Top-level (and argument-picklable) so :class:`ProcessPoolExecutor`
@@ -193,77 +92,13 @@ def evaluate_point(task: PointTask) -> Dict[str, float]:
     processes that each re-enter this function under a shard context —
     the ``current_context()`` check keeps the recursion single-level.
     """
-    from ..sim.shard.context import ShardingUnsupported, current_context
+    from ..sim.shard.context import current_context
 
     if _POLICY.shards > 1 and current_context() is None:
-        if task.kind == "octotiger":
-            raise ShardingUnsupported(
-                "the octotiger proxy's result depends on cross-locality "
-                "scheduler state that the sharded engine does not merge; "
-                "run it without --shards")
-        if "adapt" in task.params:
-            raise ShardingUnsupported(
-                "adaptive policies (adapt=) are not supported under "
-                "--shards > 1: the controller's shared state spans "
-                "localities that live on different shards")
+        refuse_under_shards(spec)
         from ..sim.shard.runner import run_sharded_point
-        return run_sharded_point(task, _POLICY.shards)
-    p = dict(task.params)
-
-    def _adapt_spec():
-        if "adapt" not in p:
-            return None
-        from ..adapt import AdaptiveSpec
-        return AdaptiveSpec.from_dict(p["adapt"])
-
-    if task.kind == "message_rate":
-        from .message_rate import MessageRateParams, run_message_rate
-        params = MessageRateParams(
-            msg_size=p["msg_size"], batch=p["batch"],
-            total_msgs=p["total_msgs"],
-            inject_rate_kps=p["inject_rate_kps"],
-            platform=_platform(p["platform"]),
-            max_events=p["max_events"])
-        return run_message_rate(task.config, params,
-                                seed=task.seed,
-                                adapt=_adapt_spec()).as_dict()
-    if task.kind == "latency":
-        from .latency import LatencyParams, run_latency
-        params = LatencyParams(
-            msg_size=p["msg_size"], window=p["window"], steps=p["steps"],
-            platform=_platform(p["platform"]), max_events=p["max_events"])
-        return run_latency(task.config, params, seed=task.seed).as_dict()
-    if task.kind == "fft":
-        from .fft_bench import FftBenchParams, run_fft
-        params = FftBenchParams(
-            n1=p["n1"], n2=p["n2"], n_localities=p["n_localities"],
-            iterations=p["iterations"], fragment=p["fragment"],
-            credit_window=p["credit_window"], max_backlog=p["max_backlog"],
-            platform=_platform(p["platform"]), max_events=p["max_events"])
-        return run_fft(task.config, params, seed=task.seed,
-                       adapt=_adapt_spec()).as_dict()
-    if task.kind == "serve":
-        from .serve_bench import ServeBenchParams, run_serve
-        params = ServeBenchParams(
-            offered_kps=p["offered_kps"], horizon_us=p["horizon_us"],
-            n_localities=p["n_localities"], arrival=p["arrival"],
-            slo_us=p["slo_us"], drain_us=p["drain_us"],
-            n_clients=p["n_clients"],
-            credit_window=p["credit_window"],
-            max_backlog=p["max_backlog"],
-            max_queued_parcels=p["max_queued_parcels"],
-            platform=_platform(p["platform"]), max_events=p["max_events"])
-        return run_serve(task.config, params, seed=task.seed,
-                         adapt=_adapt_spec()).as_dict()
-    if task.kind == "octotiger":
-        from .octotiger_bench import OctoTigerBenchParams, run_octotiger
-        params = OctoTigerBenchParams(
-            platform=_platform(p["platform"]),
-            n_localities=p["n_localities"],
-            paper_level=p["paper_level"], n_steps=p["n_steps"],
-            max_events=p["max_events"])
-        return run_octotiger(task.config, params, seed=task.seed)
-    raise ValueError(f"unknown point kind {task.kind!r}")
+        return run_sharded_point(spec, _POLICY.shards)
+    return run(spec).as_dict()
 
 
 # ---------------------------------------------------------------------------
@@ -272,7 +107,7 @@ def evaluate_point(task: PointTask) -> Dict[str, float]:
 class ResultCache:
     """Content-addressed cache of sweep-point results.
 
-    Entry key = ``sha256(code_fingerprint ‖ task.canonical())``; the entry
+    Entry key = ``sha256(code_fingerprint ‖ spec.canonical())``; the entry
     file records the schema tag, the key's ingredients (for debuggability)
     and the result dict.  A changed parameter, seed, or any edit to the
     ``repro`` sources produces a different key — stale hits are impossible
@@ -285,18 +120,18 @@ class ResultCache:
         self.misses = 0
         self.stores = 0
 
-    def key(self, task: PointTask) -> str:
+    def key(self, spec: RunSpec) -> str:
         h = hashlib.sha256()
         h.update(code_fingerprint().encode())
         h.update(b"\0")
-        h.update(task.canonical().encode())
+        h.update(spec.canonical().encode())
         return h.hexdigest()
 
     def _path(self, key: str) -> Path:
         return self.root / key[:2] / f"{key}.json"
 
-    def get(self, task: PointTask) -> Optional[Dict[str, float]]:
-        path = self._path(self.key(task))
+    def get(self, spec: RunSpec) -> Optional[Dict[str, float]]:
+        path = self._path(self.key(spec))
         try:
             with open(path, encoding="utf-8") as fh:
                 entry = json.load(fh)
@@ -309,17 +144,25 @@ class ResultCache:
         self.hits += 1
         return entry["result"]
 
-    def put(self, task: PointTask, result: Dict[str, float]) -> None:
-        key = self.key(task)
+    def put(self, spec: RunSpec, result: Dict[str, float]) -> None:
+        key = self.key(spec)
         path = self._path(key)
         path.parent.mkdir(parents=True, exist_ok=True)
-        tmp = path.with_suffix(".tmp")
-        with open(tmp, "w", encoding="utf-8") as fh:
-            json.dump({"schema": CACHE_SCHEMA, "key": key,
-                       "fingerprint": code_fingerprint(),
-                       "task": json.loads(task.canonical()),
-                       "result": result}, fh, indent=1)
-        os.replace(tmp, path)
+        # A temp name of this writer's own, in the entry's directory: two
+        # writers storing the same key each rename a complete file.
+        fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f"{key}.",
+                                   suffix=".tmp")
+        try:
+            with os.fdopen(fd, "w", encoding="utf-8") as fh:
+                json.dump({"schema": CACHE_SCHEMA, "key": key,
+                           "fingerprint": code_fingerprint(),
+                           "spec": json.loads(spec.canonical()),
+                           "result": result}, fh, indent=1)
+            os.replace(tmp, path)
+        except BaseException:
+            if os.path.exists(tmp):
+                os.unlink(tmp)
+            raise
         self.stores += 1
 
     def stats(self) -> Dict[str, int]:
@@ -399,7 +242,21 @@ def execution(jobs: int = 1, cache: "ResultCache | str | Path | None" = None,
 # ---------------------------------------------------------------------------
 # the engine
 # ---------------------------------------------------------------------------
-def run_points(tasks: Sequence[PointTask],
+def _fan_out(fn: Callable[[Any], Any], items: Sequence[Any],
+             jobs: int) -> Iterator[Any]:
+    """Yield ``fn(item)`` for every item, **in input order** — in process
+    for ``jobs == 1``, else over a :class:`ProcessPoolExecutor` (``fn``
+    and the items must then be picklable)."""
+    if jobs > 1 and len(items) > 1:
+        with ProcessPoolExecutor(max_workers=min(jobs, len(items))) as ex:
+            yield from ex.map(fn, items,
+                              chunksize=max(1, len(items) // (jobs * 4)))
+    else:
+        for item in items:
+            yield fn(item)
+
+
+def run_points(specs: Sequence[RunSpec],
                jobs: Optional[int] = None,
                cache: "ResultCache | None" = None,
                no_cache: bool = False,
@@ -413,7 +270,17 @@ def run_points(tasks: Sequence[PointTask],
     simulation keyed by its own seed, the output is element-wise identical
     whatever the fan-out width — asserted in
     ``tests/test_parallel_sweep.py``.
+
+    Traced specs are refused: a traced run exists for its span recorder,
+    which a result dict (and so the cache) drops — call
+    :func:`repro.bench.run` in process instead.
     """
+    for spec in specs:
+        if spec.trace:
+            raise ValueError(
+                f"run_points does not take traced specs (trace="
+                f"{spec.trace!r}): the result dict drops the span "
+                f"recorder; call repro.bench.run(spec) instead")
     pol = _POLICY
     if jobs is None:
         jobs = pol.jobs
@@ -426,42 +293,28 @@ def run_points(tasks: Sequence[PointTask],
     if no_cache:
         cache = None
 
-    results: List[Optional[Dict[str, float]]] = [None] * len(tasks)
+    results: List[Optional[Dict[str, float]]] = [None] * len(specs)
     miss_idx: List[int] = []
     if cache is not None:
-        for i, task in enumerate(tasks):
-            hit = cache.get(task)
+        for i, spec in enumerate(specs):
+            hit = cache.get(spec)
             if hit is not None:
                 results[i] = hit
             else:
                 miss_idx.append(i)
     else:
-        miss_idx = list(range(len(tasks)))
+        miss_idx = list(range(len(specs)))
 
-    done = len(tasks) - len(miss_idx)
+    done = len(specs) - len(miss_idx)
     if progress is not None and done:
-        progress(done, len(tasks))
+        progress(done, len(specs))
 
-    if jobs > 1 and len(miss_idx) > 1:
-        chunk = max(1, len(miss_idx) // (jobs * 4))
-        with ProcessPoolExecutor(max_workers=min(jobs, len(miss_idx))) as ex:
-            for i, result in zip(miss_idx,
-                                 ex.map(evaluate_point,
-                                        [tasks[i] for i in miss_idx],
-                                        chunksize=chunk)):
-                results[i] = result
-                if cache is not None:
-                    cache.put(tasks[i], result)
-                done += 1
-                if progress is not None:
-                    progress(done, len(tasks))
-    else:
-        for i in miss_idx:
-            result = evaluate_point(tasks[i])
-            results[i] = result
-            if cache is not None:
-                cache.put(tasks[i], result)
-            done += 1
-            if progress is not None:
-                progress(done, len(tasks))
+    misses = [specs[i] for i in miss_idx]
+    for i, result in zip(miss_idx, _fan_out(evaluate_point, misses, jobs)):
+        results[i] = result
+        if cache is not None:
+            cache.put(specs[i], result)
+        done += 1
+        if progress is not None:
+            progress(done, len(specs))
     return results  # type: ignore[return-value]

@@ -36,8 +36,12 @@ import platform as _platform
 import statistics
 import sys
 import time
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Callable, Dict, List, Optional, Tuple
+
+from ..hpx_rt.platform import EXPANSE, PlatformSpec
+from .runner import RunResult, RunSpec, Workload, run
 
 __all__ = ["KERNEL_WORKLOADS", "BENCH_SCHEMA",
            "bench_kernel", "bench_models", "bench_figures", "bench_shards",
@@ -197,25 +201,23 @@ def _model_workloads(full: bool) -> Dict[str, Callable[[], Any]]:
     :func:`~repro.bench.seedpaths.reference_models` run must return equal
     results — that equality is asserted before any timing happens.
     """
-    from .message_rate import MessageRateParams, run_message_rate
-    from .octotiger_bench import OctoTigerBenchParams, run_octotiger
+    from .message_rate import MessageRateParams
+    from .octotiger_bench import OctoTigerBenchParams
 
     mr = MessageRateParams(msg_size=8, batch=50,
                            total_msgs=2000 if full else 600,
                            inject_rate_kps=200.0)
     ot = OctoTigerBenchParams(n_localities=2,
                               paper_level=4 if full else 3, n_steps=1)
-    return {
-        "fig1_point_mpi_i":
-            lambda: run_message_rate("mpi_i", mr, seed=7).as_dict(),
+    specs = {
+        "fig1_point_mpi_i": RunSpec("message_rate", "mpi_i", mr, 7),
         "fig1_point_lci_pin":
-            lambda: run_message_rate("lci_psr_cq_pin_i", mr,
-                                     seed=7).as_dict(),
-        "rate_sweep_lci_mt":
-            lambda: run_message_rate("lci_sr_sy_mt", mr, seed=7).as_dict(),
-        "octotiger_step_mpi_i":
-            lambda: run_octotiger("mpi_i", ot, seed=7),
+            RunSpec("message_rate", "lci_psr_cq_pin_i", mr, 7),
+        "rate_sweep_lci_mt": RunSpec("message_rate", "lci_sr_sy_mt", mr, 7),
+        "octotiger_step_mpi_i": RunSpec("octotiger", "mpi_i", ot, 7),
     }
+    return {name: (lambda spec=spec: run(spec).as_dict())
+            for name, spec in specs.items()}
 
 
 def bench_models(full: bool = False,
@@ -277,9 +279,9 @@ def bench_models(full: bool = False,
 def bench_figures(full: bool = False, jobs: Optional[int] = None
                   ) -> Dict[str, Any]:
     """Time quick-figure regeneration and a sequential-vs-parallel sweep."""
-    from ..hpx_rt.platform import EXPANSE
     from .figures import fig1
-    from .parallel import execution, message_rate_task, run_points
+    from .message_rate import MessageRateParams
+    from .parallel import execution, run_points
 
     jobs = jobs or min(4, os.cpu_count() or 1)
     doc = _doc_header("figures", repeats=1)
@@ -297,9 +299,10 @@ def bench_figures(full: bool = False, jobs: Optional[int] = None
 
     # the same independent task list, sequential then fanned out
     from .seeds import repeat_seeds
-    tasks = [message_rate_task(cfg, msg_size=8, batch=50, total_msgs=total,
-                               inject_rate_kps=rate, platform=EXPANSE,
-                               seed=seed)
+    tasks = [RunSpec("message_rate", cfg,
+                     MessageRateParams(msg_size=8, batch=50,
+                                       total_msgs=total,
+                                       inject_rate_kps=rate), seed)
              for cfg in ("mpi_i", "lci_psr_cq_pin_i")
              for rate in (100.0, 400.0, None)
              for seed in repeat_seeds(2 if full else 1)]
@@ -325,8 +328,8 @@ def bench_figures(full: bool = False, jobs: Optional[int] = None
 # ---------------------------------------------------------------------------
 # sharded-engine scaling macro
 # ---------------------------------------------------------------------------
-def _shard_macro(n_localities: int, rounds: int, horizon_us: float,
-                 seed: int) -> Callable[[], Dict[str, Any]]:
+@dataclass(frozen=True)
+class PairPingParams:
     """A partition-friendly macro for the sharded engine.
 
     Localities pair up (``2k <-> 2k+1``) and stream pings for a fixed
@@ -334,44 +337,54 @@ def _shard_macro(n_localities: int, rounds: int, horizon_us: float,
     one shard, so measured scaling reflects engine + barrier overhead,
     not wire-codec cost.  Deadline termination freezes every shard at
     exactly ``horizon_us``, which is what makes the aggregate event
-    count shard-count-invariant (asserted by the caller).
+    count shard-count-invariant (asserted by :func:`bench_shards`).
     """
-    def run() -> Dict[str, Any]:
-        from .. import make_runtime
-        from ..hpx_rt.platform import EXPANSE
 
-        plat = EXPANSE.with_(max_nodes=max(EXPANSE.max_nodes, n_localities),
-                             sim_cores_per_node=2)
-        rt = make_runtime("lci", platform=plat, n_localities=n_localities,
-                          seed=seed)
+    n_localities: int = 32
+    rounds: int = 20
+    horizon_us: float = 300.0
+    platform: PlatformSpec = EXPANSE
 
-        def pong(worker, i):
-            return None
 
-        rt.register_action("pong", pong)
+@dataclass
+class PairPingResult(RunResult):
+    events: int       #: kernel events summed over every shard
+    windows: int      #: barrier windows the sharded engine granted
 
-        def pinger(lid):
-            def task(worker):
-                for i in range(rounds):
-                    yield from worker.locality.apply(
-                        worker, lid + 1, "pong", (i,), arg_sizes=[64])
-            return task
+    def workload_dict(self) -> Dict[str, float]:
+        return {"events": self.events, "windows": self.windows}
 
-        rt.boot()
-        for lid in range(0, n_localities, 2):
-            if rt.shard_owns(lid):
-                rt.locality(lid).spawn(pinger(lid), name=f"ping{lid}")
-        ctx = rt.shard_ctx
-        peer_events: List[int] = []
-        if ctx is not None and ctx.n_shards > 1:
-            ctx.register_contrib("bench.events",
-                                 lambda: rt.sim.event_count,
-                                 peer_events.append)
-        rt.run_until(float(horizon_us))
-        return {"events": rt.sim.event_count + sum(peer_events),
-                "windows": ctx.windows if ctx is not None else 0}
 
-    return run
+def _pair_ping(rt, p: PairPingParams) -> PairPingResult:
+    def pong(worker, i):
+        return None
+
+    rt.register_action("pong", pong)
+
+    def pinger(lid):
+        def task(worker):
+            for i in range(p.rounds):
+                yield from worker.locality.apply(
+                    worker, lid + 1, "pong", (i,), arg_sizes=[64])
+        return task
+
+    rt.boot()
+    for lid in range(0, p.n_localities, 2):
+        if rt.shard_owns(lid):
+            rt.locality(lid).spawn(pinger(lid), name=f"ping{lid}")
+    ctx = rt.shard_ctx
+    peer_events: List[int] = []
+    if ctx is not None and ctx.n_shards > 1:
+        ctx.register_contrib("bench.events",
+                             lambda: rt.sim.event_count,
+                             peer_events.append)
+    rt.run_until(float(p.horizon_us))
+    return PairPingResult(events=rt.sim.event_count + sum(peer_events),
+                          windows=ctx.windows if ctx is not None else 0)
+
+
+PAIR_PING = Workload(PairPingParams, _pair_ping,
+                     lambda p, flow: {"n_localities": p.n_localities})
 
 
 def bench_shards(full: bool = False,
@@ -401,7 +414,12 @@ def bench_shards(full: bool = False,
     doc["workload"] = {"macro": "pair_ping_pong", "config": "lci",
                        "n_localities": n_localities, "rounds": rounds,
                        "horizon_us": horizon_us}
-    workload = _shard_macro(n_localities, rounds, horizon_us, seed=7)
+    plat = EXPANSE.with_(max_nodes=max(EXPANSE.max_nodes, n_localities),
+                         sim_cores_per_node=2)
+    workload = RunSpec("pair_ping", "lci",
+                       PairPingParams(n_localities=n_localities,
+                                      rounds=rounds, horizon_us=horizon_us,
+                                      platform=plat), seed=7)
 
     results: Dict[str, Any] = {}
     events0: Optional[int] = None

@@ -4,7 +4,7 @@ Two kinds of determinism matter for the figure pipeline:
 
 * **sweep-level** — a figure repeats each point over a fixed seed ladder
   (:func:`repeat_seeds`, the exact ``1000 + i*7919`` sequence the seed
-  repo used inline in ``harness.repeat`` and ``figures._seeds``; kept
+  repo used inline in ``harness.repeat`` and the figure drivers; kept
   bit-for-bit so every committed ``results/*.txt`` stays byte-identical);
 * **stream-level** — within one run, every stochastic component draws
   from a *named substream* derived from the run's root seed

@@ -1,28 +1,35 @@
-"""Serving-tier benchmark wrapper: open-loop RPC load for the bench layer.
+"""Serving-tier workload: open-loop RPC load for the bench layer.
 
-Runs :class:`~repro.apps.serve.ServeDriver` on a fresh runtime per point
-and flattens the result into the primitive metric dict the sweep engine /
-figure drivers consume.  Every point runs under a **shed-mode**
-:class:`~repro.flow.FlowControlPolicy` (credits riding the reliability
-acks + bounded backlogs with ``overflow="shed"``), so past saturation the
-stack *rejects* excess requests instead of growing unbounded queues —
-shedding as admission control, the regime ``serve_sweep`` maps per
-parcelport config family.
+Drives :class:`~repro.apps.serve.ServeDriver` on the runtime that
+:func:`repro.bench.run` builds and flattens the result into the primitive
+metric dict the sweep engine / figure drivers consume.  Every point runs
+under a **shed-mode** :class:`~repro.flow.FlowControlPolicy` passed as
+``RunSpec.flow`` (credits riding the reliability acks + bounded backlogs
+with ``overflow="shed"``; :data:`SERVE_FLOW` is the standard setting), so
+past saturation the stack *rejects* excess requests instead of growing
+unbounded queues — shedding as admission control, the regime
+``serve_sweep`` maps per parcelport config family.  A spec without a
+shed-mode policy is refused.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
-from typing import Any, Dict, Optional
+from dataclasses import dataclass, replace
+from typing import Dict, Optional
 
 from ..apps.serve import ServeConfig, ServeDriver
-from ..faults import FaultPlan, RetryPolicy
 from ..flow import OVERFLOW_SHED, FlowControlPolicy
 from ..hpx_rt.platform import EXPANSE, PlatformSpec
-from ..parcelport import PPConfig
-from .. import make_runtime
+from .runner import RunResult, Workload
 
-__all__ = ["ServeBenchParams", "ServeBenchResult", "run_serve"]
+__all__ = ["ServeBenchParams", "ServeBenchResult", "SERVE_FLOW", "WORKLOAD"]
+
+#: flow control for the serving runs: an 8-message credit window with
+#: shallow shed-mode backlogs, so past saturation the stack rejects
+#: excess requests (``ParcelShedError``) instead of queueing unboundedly
+SERVE_FLOW = FlowControlPolicy(credit_window=8, max_backlog=16,
+                               max_queued_parcels=64,
+                               overflow=OVERFLOW_SHED)
 
 
 @dataclass(frozen=True)
@@ -40,22 +47,10 @@ class ServeBenchParams:
     resp_bytes_max: int = 32768
     service_base_us: float = 1.0
     platform: PlatformSpec = EXPANSE
-    #: per-peer credit window (credits ride the reliability acks)
-    credit_window: int = 8
-    #: sender backlog bound; a full backlog *sheds* (admission control)
-    max_backlog: int = 16
-    #: parcel-layer queue bound per destination (sheds when full)
-    max_queued_parcels: int = 64
     max_events: int = 30_000_000
 
     def with_(self, **kw) -> "ServeBenchParams":
         return replace(self, **kw)
-
-    def flow_policy(self) -> FlowControlPolicy:
-        return FlowControlPolicy(credit_window=self.credit_window,
-                                 max_backlog=self.max_backlog,
-                                 max_queued_parcels=self.max_queued_parcels,
-                                 overflow=OVERFLOW_SHED)
 
     def serve_config(self) -> ServeConfig:
         return ServeConfig(n_clients=self.n_clients,
@@ -69,9 +64,7 @@ class ServeBenchParams:
 
 
 @dataclass
-class ServeBenchResult:
-    config: str
-    params: ServeBenchParams
+class ServeBenchResult(RunResult):
     offered: int
     delivered: int
     shed_requests: int
@@ -86,17 +79,9 @@ class ServeBenchResult:
     p50_us: float
     p99_us: float
     p999_us: float
-    #: merged fault/flow counters (credit stalls, backlog refusals, sheds)
-    faults: Dict[str, int] = field(default_factory=dict)
-    #: the run's SpanRecorder when tracing was requested (else None);
-    #: excluded from :meth:`as_dict` so traced runs report identically
-    obs: Any = None
-    metrics: Any = None
-    #: AdaptiveController summary (empty without adaptation)
-    adapt: Dict[str, float] = field(default_factory=dict)
 
-    def as_dict(self) -> Dict[str, float]:
-        out = {
+    def workload_dict(self) -> Dict[str, float]:
+        return {
             "offered_kps": self.offered_kps,
             "achieved_kps": self.achieved_kps,
             "goodput_kps": self.goodput_kps,
@@ -112,45 +97,30 @@ class ServeBenchResult:
             "in_flight": float(self.in_flight),
             "deadline_misses": float(self.deadline_misses),
         }
-        for k, v in sorted(self.faults.items()):
-            out[f"fault.{k}"] = float(v)
-        for k, v in sorted(self.adapt.items()):
-            out[f"adapt.{k}"] = float(v)
-        return out
 
 
-def run_serve(config: "PPConfig | str", params: ServeBenchParams,
-              seed: int = 0xC0FFEE,
-              fault_plan: Optional[FaultPlan] = None,
-              retry_policy: Optional[RetryPolicy] = None,
-              trace: "str | bool | None" = None,
-              adapt: Any = None) -> ServeBenchResult:
-    """One full open-loop serving run for one configuration."""
-    if isinstance(config, str):
-        config = PPConfig.parse(config)
-    p = params
-    kw: Dict[str, Any] = {}
-    if adapt is not None:
-        kw["adapt"] = adapt
-    rt = make_runtime(config, platform=p.platform,
-                      n_localities=p.n_localities, seed=seed,
-                      fault_plan=fault_plan, retry_policy=retry_policy,
-                      flow_policy=p.flow_policy(), trace=trace,
-                      # credits ride on the reliability layer's acks
-                      reliable=True, **kw)
-    driver = ServeDriver(rt, p.serve_config())
-    res = driver.run(max_events=p.max_events)
+def drive(rt, p: ServeBenchParams) -> ServeBenchResult:
+    """One full open-loop serving run on a built runtime."""
+    res = ServeDriver(rt, p.serve_config()).run(max_events=p.max_events)
     pct = res.percentiles()
     return ServeBenchResult(
-        config=config.label, params=p,
         offered=res.offered, delivered=res.delivered,
         shed_requests=res.shed_requests, shed_responses=res.shed_responses,
         failed=res.failed, in_flight=res.in_flight,
         deadline_misses=res.deadline_misses,
         goodput_kps=res.goodput_kps, achieved_kps=res.achieved_kps,
         offered_kps=res.offered_kps, slo_attainment=res.slo_attainment,
-        p50_us=pct["p50_us"], p99_us=pct["p99_us"], p999_us=pct["p999_us"],
-        faults=rt.fault_summary(),
-        obs=rt.obs,
-        metrics=rt.metrics() if rt.obs is not None else None,
-        adapt=rt.adapt.summary() if rt.adapt is not None else {})
+        p50_us=pct["p50_us"], p99_us=pct["p99_us"], p999_us=pct["p999_us"])
+
+
+def _runtime(p: ServeBenchParams,
+             flow: Optional[FlowControlPolicy]) -> Dict[str, object]:
+    if flow is None or flow.overflow != OVERFLOW_SHED:
+        raise ValueError("serve runs need a shed-mode flow policy "
+                         "(RunSpec.flow, e.g. SERVE_FLOW); got "
+                         f"{flow!r}")
+    # credits ride on the reliability layer's acks
+    return {"n_localities": p.n_localities, "reliable": True}
+
+
+WORKLOAD = Workload(ServeBenchParams, drive, _runtime)

@@ -135,37 +135,24 @@ def run_sweep(fn: Callable[..., Dict[str, float]], spec: SweepSpec,
     function.  Rows are collected in grid order either way, so the result
     is identical to a sequential run.
     """
-    from .parallel import policy
+    from .parallel import _fan_out, policy
+    from .seeds import repeat_seeds
 
-    points = spec.points()
     result = SweepResult(axes=list(spec.axes))
-    total = spec.size
     if jobs is None:
         jobs = policy().jobs
-    from .seeds import repeat_seeds
-    cells = [(point, seed)
-             for point in points
+    cells = [(fn, point, seed)
+             for point in spec.points()
              for seed in repeat_seeds(spec.repeats, base=spec.base_seed)]
-
-    def fold(measurements) -> None:
-        for done, ((point, seed), measurement) in enumerate(
-                zip(cells, measurements), start=1):
-            row = dict(point)
-            row["seed"] = seed
-            for k, v in measurement.items():
-                if k in row:
-                    raise ValueError(
-                        f"metric {k!r} collides with an axis")
-                row[k] = v
-            result.rows.append(row)
-            if progress is not None:
-                progress(done, total)
-
-    if jobs > 1 and len(cells) > 1:
-        from concurrent.futures import ProcessPoolExecutor
-        with ProcessPoolExecutor(max_workers=min(jobs, len(cells))) as ex:
-            fold(ex.map(_eval_cell, [(fn, p, s) for p, s in cells],
-                        chunksize=max(1, len(cells) // (jobs * 4))))
-    else:
-        fold(fn(**point, seed=seed) for point, seed in cells)
+    for done, ((_, point, seed), measurement) in enumerate(
+            zip(cells, _fan_out(_eval_cell, cells, jobs)), start=1):
+        row = dict(point)
+        row["seed"] = seed
+        for k, v in measurement.items():
+            if k in row:
+                raise ValueError(f"metric {k!r} collides with an axis")
+            row[k] = v
+        result.rows.append(row)
+        if progress is not None:
+            progress(done, spec.size)
     return result

@@ -59,6 +59,13 @@ class ShardingUnsupported(RuntimeError):
     """A feature incompatible with the sharded engine was requested."""
 
 
+#: why adaptive policies cannot run sharded (raised before the fork and
+#: again when a shard's runtime attaches)
+ADAPT_UNSHARDABLE = ("adaptive policies (adapt=) are not supported under "
+                     "--shards > 1: the controller's shared state spans "
+                     "localities that live on different shards")
+
+
 def owner_of(lid: int, n_shards: int, n_localities: int) -> int:
     """The shard owning locality ``lid``: contiguous blocks, remainder
     spread evenly (the same split ``numpy.array_split`` would make)."""
@@ -138,10 +145,7 @@ class ShardContext:
             raise ShardingUnsupported(
                 "tracing (--trace) is not supported under --shards > 1")
         if getattr(runtime, "adapt_spec", None) is not None and k > 1:
-            raise ShardingUnsupported(
-                "adaptive policies (adapt=) are not supported under "
-                "--shards > 1: the controller's shared state spans "
-                "localities that live on different shards")
+            raise ShardingUnsupported(ADAPT_UNSHARDABLE)
         if type(runtime.fabric) is not Fabric and k > 1:
             raise ShardingUnsupported(
                 f"--shards > 1 requires the constant-latency crossbar "

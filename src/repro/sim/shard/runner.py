@@ -42,7 +42,7 @@ class ShardRunError(RuntimeError):
 
 
 def _evaluate(task) -> Any:
-    """A task is either a PointTask or a picklable zero-arg callable."""
+    """A task is either a RunSpec or a picklable zero-arg callable."""
     if callable(task):
         return task()
     from ...bench.parallel import evaluate_point
@@ -158,7 +158,7 @@ def _coordinate(conns) -> Any:
 def run_sharded_point(task, shards: int) -> Any:
     """Evaluate one sweep point under ``shards`` worker processes.
 
-    ``task`` is a :class:`repro.bench.parallel.PointTask` or a picklable
+    ``task`` is a :class:`repro.bench.RunSpec` or a picklable
     zero-argument callable (used by tests to shard arbitrary runs).
     With ``shards == 1`` the task runs in-process under a shard context
     (same code paths, no processes, no barriers) — this is the identity

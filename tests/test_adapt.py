@@ -23,9 +23,8 @@ import pytest
 
 from repro import FaultPlan, FlowControlPolicy, make_runtime
 from repro.adapt import AdaptiveSpec
-from repro.bench.message_rate import MessageRateParams, run_message_rate
-from repro.bench.parallel import (evaluate_point, execution,
-                                  message_rate_task, run_points)
+from repro.bench import MessageRateParams, RunSpec, run
+from repro.bench.parallel import evaluate_point, execution, run_points
 from repro.hpx_rt.platform import EXPANSE
 from repro.sim.shard import ShardContext, ShardingUnsupported, set_current
 
@@ -74,11 +73,11 @@ def test_spec_from_dict_rejects_unknown_fields():
 # ---------------------------------------------------------------------------
 FEATURE_COMBOS = [
     {},
-    {"fault_plan": FaultPlan.parse("drop=0.05")},
-    {"flow_policy": FlowControlPolicy()},
+    {"faults": FaultPlan.parse("drop=0.05")},
+    {"flow": FlowControlPolicy()},
     {"trace": "parcel"},
-    {"fault_plan": FaultPlan.parse("drop=0.02,corrupt=0.01"),
-     "flow_policy": FlowControlPolicy()},
+    {"faults": FaultPlan.parse("drop=0.02,corrupt=0.01"),
+     "flow": FlowControlPolicy()},
 ]
 
 
@@ -89,13 +88,15 @@ def test_adaptive_off_identity(config):
     never mentions the subsystem, for every feature combination — and an
     adaptive run in between leaks no state into later plain runs."""
     for kw in FEATURE_COMBOS:
-        before = run_message_rate(config, P_SMALL, seed=5, **kw).as_dict()
+        before = run(RunSpec("message_rate", config, P_SMALL, 5,
+                             **kw)).as_dict()
         assert not any(k.startswith("adapt.") for k in before)
         # An adaptive run on the same config must not perturb anything.
-        run_message_rate(config, P_SMALL, seed=5, adapt=AdaptiveSpec(),
-                         **{k: v for k, v in kw.items() if k != "trace"})
-        after = run_message_rate(config, P_SMALL, seed=5, adapt=None,
-                                 **kw).as_dict()
+        run(RunSpec("message_rate", config, P_SMALL, 5,
+                    adapt=AdaptiveSpec(),
+                    **{k: v for k, v in kw.items() if k != "trace"}))
+        after = run(RunSpec("message_rate", config, P_SMALL, 5, adapt=None,
+                            **kw)).as_dict()
         assert after == before
 
 
@@ -115,19 +116,17 @@ def test_adaptive_off_runtime_has_no_controller():
 # ---------------------------------------------------------------------------
 def test_adaptive_run_deterministic():
     spec = AdaptiveSpec(agg_hold_init=512)
-    a = run_message_rate("lci_psr_cq_pin", P_SMALL, seed=9,
-                         adapt=spec).as_dict()
-    b = run_message_rate("lci_psr_cq_pin", P_SMALL, seed=9,
-                         adapt=spec).as_dict()
+    a = run(RunSpec("message_rate", "lci_psr_cq_pin", P_SMALL, 9,
+                    adapt=spec)).as_dict()
+    b = run(RunSpec("message_rate", "lci_psr_cq_pin", P_SMALL, 9,
+                    adapt=spec)).as_dict()
     assert a == b
     assert a["adapt.ticks"] > 0
 
 
 def _adapt_tasks():
-    spec = AdaptiveSpec(agg_hold_init=512).as_dict()
-    return [message_rate_task("lci_psr_cq_pin", msg_size=8, batch=10,
-                              total_msgs=200, inject_rate_kps=None,
-                              platform=EXPANSE, seed=s, adapt=spec)
+    spec = AdaptiveSpec(agg_hold_init=512)
+    return [RunSpec("message_rate", "lci_psr_cq_pin", P_SMALL, s, adapt=spec)
             for s in (3, 4)]
 
 
@@ -152,13 +151,19 @@ def test_adapt_in_cache_key_only_when_on(tmp_path):
     """A plain task's cache key must be unchanged by the subsystem (all
     pre-existing cache entries stay valid), and an adaptive task must
     never collide with its plain twin."""
-    plain = message_rate_task("lci", msg_size=8, batch=10, total_msgs=200,
-                              inject_rate_kps=None, platform=EXPANSE, seed=1)
-    on = message_rate_task("lci", msg_size=8, batch=10, total_msgs=200,
-                           inject_rate_kps=None, platform=EXPANSE, seed=1,
-                           adapt=AdaptiveSpec().as_dict())
-    assert "adapt" not in plain.params
+    plain = RunSpec("message_rate", "lci", P_SMALL, 1)
+    on = RunSpec("message_rate", "lci", P_SMALL, 1, adapt=AdaptiveSpec())
+    assert '"adapt"' not in plain.canonical()
+    assert json.loads(on.canonical())["adapt"] == AdaptiveSpec().as_dict()
     assert plain.canonical() != on.canonical()
+
+
+@pytest.mark.parametrize("adapt", [True, {"agg_hold_max": 64}])
+def test_run_spec_refuses_adapt_that_is_not_a_spec(adapt):
+    """The runtime would accept these shorthands, but the cache key could
+    not serialize them, so the spec refuses them when constructed."""
+    with pytest.raises(TypeError, match="AdaptiveSpec"):
+        RunSpec("message_rate", "lci", P_SMALL, 1, adapt=adapt)
 
 
 # ---------------------------------------------------------------------------
@@ -170,9 +175,9 @@ def test_controller_pins_worker_progress_under_contention():
     the static one."""
     p = MessageRateParams(msg_size=8, batch=100, total_msgs=2000,
                           inject_rate_kps=None, platform=EXPANSE)
-    plain = run_message_rate("lci_psr_cq_mt_i", p, seed=1)
-    tuned = run_message_rate("lci_psr_cq_mt_i", p, seed=1,
-                             adapt=AdaptiveSpec())
+    plain = run(RunSpec("message_rate", "lci_psr_cq_mt_i", p, 1))
+    tuned = run(RunSpec("message_rate", "lci_psr_cq_mt_i", p, 1,
+                        adapt=AdaptiveSpec()))
     assert tuned.adapt["retune.progress_pinned"] >= 1
     assert tuned.adapt["progress_pinned_final"] == 1.0
     assert tuned.message_rate_kps > plain.message_rate_kps * 1.5
@@ -183,16 +188,16 @@ def test_controller_inert_on_best_static_config():
     the exact static schedule (identical rate, not merely close)."""
     p = MessageRateParams(msg_size=8, batch=100, total_msgs=2000,
                           inject_rate_kps=None, platform=EXPANSE)
-    plain = run_message_rate("lci_psr_cq_pin_i", p, seed=1)
-    tuned = run_message_rate("lci_psr_cq_pin_i", p, seed=1,
-                             adapt=AdaptiveSpec())
+    plain = run(RunSpec("message_rate", "lci_psr_cq_pin_i", p, 1))
+    tuned = run(RunSpec("message_rate", "lci_psr_cq_pin_i", p, 1,
+                        adapt=AdaptiveSpec()))
     assert tuned.adapt["retunes"] == 0.0
     assert tuned.message_rate_kps == plain.message_rate_kps
 
 
 def test_aggregation_hold_engages_and_flushes():
     spec = AdaptiveSpec(agg_hold_init=4096)
-    r = run_message_rate("lci_psr_cq_pin", P_SMALL, seed=2, adapt=spec)
+    r = run(RunSpec("message_rate", "lci_psr_cq_pin", P_SMALL, 2, adapt=spec))
     assert r.adapt["agg_hold_final"] >= 0
     # Every message still arrives: holds delay pumps, never drop them.
     assert r.message_rate_kps > 0

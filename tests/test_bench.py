@@ -3,9 +3,8 @@
 import pytest
 
 from repro.bench import (FIGURES, LatencyParams, Measurement,
-                         MessageRateParams, OctoTigerBenchParams, Series,
-                         platform_tables, repeat, run_latency,
-                         run_message_rate, run_octotiger,
+                         MessageRateParams, OctoTigerBenchParams, RunSpec,
+                         Series, platform_tables, repeat, run,
                          table_abbreviations)
 from repro.bench.reporting import (ascii_plot, format_bar_chart,
                                    format_series_table, format_table)
@@ -62,7 +61,7 @@ def test_series_y_at_empty_raises():
 def test_message_rate_run_returns_sane_rates():
     p = MessageRateParams(msg_size=8, batch=10, total_msgs=100,
                           inject_rate_kps=None, platform=LAPTOP)
-    r = run_message_rate("lci_psr_cq_pin_i", p)
+    r = run(RunSpec("message_rate", "lci_psr_cq_pin_i", p))
     assert r.total_msgs == 100
     assert 0 < r.comm_time_us
     assert 0 < r.inject_time_us <= r.comm_time_us
@@ -72,12 +71,12 @@ def test_message_rate_run_returns_sane_rates():
 
 
 def test_message_rate_throttled_injection():
-    fast = run_message_rate("lci_psr_cq_pin_i", MessageRateParams(
+    fast = run(RunSpec("message_rate", "lci_psr_cq_pin_i", MessageRateParams(
         msg_size=8, batch=10, total_msgs=100, inject_rate_kps=None,
-        platform=LAPTOP))
-    slow = run_message_rate("lci_psr_cq_pin_i", MessageRateParams(
+        platform=LAPTOP)))
+    slow = run(RunSpec("message_rate", "lci_psr_cq_pin_i", MessageRateParams(
         msg_size=8, batch=10, total_msgs=100, inject_rate_kps=50.0,
-        platform=LAPTOP))
+        platform=LAPTOP)))
     assert slow.achieved_injection_kps < fast.achieved_injection_kps
     # throttled to ~50 K/s
     assert slow.achieved_injection_kps == pytest.approx(50.0, rel=0.2)
@@ -86,29 +85,29 @@ def test_message_rate_throttled_injection():
 def test_message_rate_batch_divisibility_enforced():
     p = MessageRateParams(batch=100, total_msgs=150)
     with pytest.raises(ValueError):
-        run_message_rate("mpi", p)
+        run(RunSpec("message_rate", "mpi", p))
 
 
 def test_latency_run_and_metric():
     p = LatencyParams(msg_size=8, window=2, steps=5, platform=LAPTOP)
-    r = run_latency("lci_psr_cq_pin_i", p)
+    r = run(RunSpec("latency", "lci_psr_cq_pin_i", p))
     assert r.one_way_latency_us == pytest.approx(
         r.total_time_us / (2 * 5))
     assert r.one_way_latency_us > 0
 
 
 def test_latency_grows_with_message_size():
-    small = run_latency("mpi_i", LatencyParams(
-        msg_size=8, window=1, steps=5, platform=LAPTOP))
-    big = run_latency("mpi_i", LatencyParams(
-        msg_size=65536, window=1, steps=5, platform=LAPTOP))
+    small = run(RunSpec("latency", "mpi_i", LatencyParams(
+        msg_size=8, window=1, steps=5, platform=LAPTOP)))
+    big = run(RunSpec("latency", "mpi_i", LatencyParams(
+        msg_size=65536, window=1, steps=5, platform=LAPTOP)))
     assert big.one_way_latency_us > small.one_way_latency_us
 
 
 def test_octotiger_bench_returns_metrics():
     p = OctoTigerBenchParams(platform=LAPTOP, n_localities=2,
                              paper_level=5, n_steps=1)
-    out = run_octotiger("lci_psr_cq_pin_i", p)
+    out = run(RunSpec("octotiger", "lci_psr_cq_pin_i", p)).as_dict()
     assert out["steps_per_second"] > 0
     assert out["leaves"] > 0
     assert out["total_time_us"] > 0

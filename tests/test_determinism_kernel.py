@@ -202,11 +202,10 @@ GOLDEN_OCTOTIGER = [
                          ids=[c for c, _, _ in GOLDEN_MESSAGE_RATE])
 def test_message_rate_results_byte_identical_to_seed(cfg, inject_us,
                                                      comm_us):
-    from repro.bench.message_rate import (MessageRateParams,
-                                          run_message_rate)
+    from repro.bench import MessageRateParams, RunSpec, run
     params = MessageRateParams(msg_size=8, batch=50, total_msgs=2000,
                                inject_rate_kps=200.0)
-    res = run_message_rate(cfg, params, seed=7)
+    res = run(RunSpec("message_rate", cfg, params, 7))
     assert res.inject_time_us == inject_us
     assert res.comm_time_us == comm_us
 
@@ -214,18 +213,34 @@ def test_message_rate_results_byte_identical_to_seed(cfg, inject_us,
 @pytest.mark.parametrize("cfg,total_us", GOLDEN_LATENCY,
                          ids=[c for c, _ in GOLDEN_LATENCY])
 def test_latency_results_byte_identical_to_seed(cfg, total_us):
-    from repro.bench.latency import LatencyParams, run_latency
-    res = run_latency(cfg, LatencyParams(msg_size=8, window=16, steps=30),
-                      seed=7)
+    from repro.bench import LatencyParams, RunSpec, run
+    res = run(RunSpec("latency", cfg,
+                      LatencyParams(msg_size=8, window=16, steps=30), 7))
     assert res.total_time_us == total_us
 
 
 @pytest.mark.parametrize("cfg,total_us", GOLDEN_OCTOTIGER,
                          ids=[c for c, _ in GOLDEN_OCTOTIGER])
 def test_octotiger_results_byte_identical_to_seed(cfg, total_us):
-    from repro.bench.octotiger_bench import (OctoTigerBenchParams,
-                                             run_octotiger)
-    res = run_octotiger(cfg, OctoTigerBenchParams(n_localities=2,
-                                                  paper_level=4, n_steps=1),
-                        seed=7)
+    from repro.bench import OctoTigerBenchParams, RunSpec, run
+    res = run(RunSpec("octotiger", cfg,
+                      OctoTigerBenchParams(n_localities=2, paper_level=4,
+                                           n_steps=1), 7)).as_dict()
     assert res["total_time_us"] == total_us
+
+
+@pytest.mark.parametrize("cfg", ["mpi_i", "lci_psr_cq_pin_i"])
+def test_fig1_point_identical_under_trace_zero_faults_and_flow(cfg):
+    """Loading the tracing, fault (zero plan) or flow machinery must leave
+    a fig1 point's result dict untouched: the model fast paths stay on."""
+    from repro import FlowControlPolicy
+    from repro.bench import MessageRateParams, RunSpec, run
+    from repro.faults import FaultPlan
+    params = MessageRateParams(msg_size=8, batch=100, total_msgs=4000,
+                               inject_rate_kps=400.0)
+    base = run(RunSpec("message_rate", cfg, params, 1000)).as_dict()
+    for layers in ({"trace": "all"},
+                   {"faults": FaultPlan.parse("drop=0,corrupt=0")},
+                   {"flow": FlowControlPolicy()}):
+        got = run(RunSpec("message_rate", cfg, params, 1000, **layers))
+        assert got.as_dict() == base, (cfg, layers)

@@ -24,7 +24,7 @@ from repro import (FaultPlan, FlowControlPolicy, LAPTOP, RetryPolicy,
                    make_runtime)
 from repro.apps.fft import (COMPLEX_BYTES, FftConfig, FftDriver, fft,
                             is_pow2, naive_dft, twiddle)
-from repro.bench.fft_bench import FftBenchParams, run_fft
+from repro.bench import FFT_FLOW, FftBenchParams, RunSpec, run
 from repro.hpx_rt.collectives import Collectives
 
 pytestmark = pytest.mark.collectives
@@ -323,9 +323,8 @@ def test_fft_multiple_iterations_reuse_op_ids():
 # determinism: timelines, summaries, figure points
 # ---------------------------------------------------------------------------
 def _fingerprint(config, **kw):
-    params = FftBenchParams(n1=16, n2=16, n_localities=4,
-                            credit_window=4, max_backlog=8, **kw)
-    res = run_fft(config, params, seed=321)
+    params = FftBenchParams(n1=16, n2=16, n_localities=4, **kw)
+    res = run(RunSpec("fft", config, params, 321, flow=FFT_FLOW))
     return (res.total_time_us, res.checksum,
             tuple(sorted(res.phase_times_us.items())),
             tuple(sorted(res.faults.items())))
@@ -354,11 +353,11 @@ def test_fft_flow_and_fault_summaries_are_replay_identical():
 
 
 def test_fft_figure_points_invariant_under_jobs_and_cache(tmp_path):
-    from repro.bench.parallel import ResultCache, fft_task, run_points
+    from repro.bench.parallel import ResultCache, run_points
 
-    tasks = [fft_task(config, n1=16, n2=16, n_localities=4,
-                      platform=LAPTOP, seed=55, credit_window=4,
-                      max_backlog=8)
+    tasks = [RunSpec("fft", config,
+                     FftBenchParams(n1=16, n2=16, n_localities=4,
+                                    platform=LAPTOP), 55, flow=FFT_FLOW)
              for config in CONFIGS]
     seq = run_points(tasks, jobs=1, no_cache=True)
     par = run_points(tasks, jobs=2, no_cache=True)
@@ -414,10 +413,9 @@ def test_incast_completes_exactly_once_under_adversity(config):
 def test_high_offered_load_incast_engages_flow_control():
     """A 64x64 fragmented transpose at window 4 must visibly stall on
     credits and defer sends — the acceptance criterion of ISSUE.md."""
-    params = FftBenchParams(n1=64, n2=64, n_localities=4,
-                            credit_window=4, max_backlog=8,
-                            platform=LAPTOP)
-    res = run_fft("lci_psr_cq_pin_i", params, seed=1000)
+    params = FftBenchParams(n1=64, n2=64, n_localities=4, platform=LAPTOP)
+    res = run(RunSpec("fft", "lci_psr_cq_pin_i", params, 1000,
+                      flow=FFT_FLOW))
     assert res.faults.get("credit_stalls", 0) > 0
     assert res.faults.get("puts_deferred", 0) > 0
     assert res.faults.get("backlogged_sends", 0) > 0
@@ -427,9 +425,10 @@ def test_unfragmented_small_fft_leaves_flow_idle():
     """The armed-but-unloaded policy must not engage on a tiny block
     transpose: counters exist but the workload fits the window."""
     params = FftBenchParams(n1=8, n2=8, n_localities=2, fragment=False,
-                            credit_window=64, max_backlog=0,
                             platform=LAPTOP)
-    res = run_fft("lci_psr_cq_pin_i", params, seed=5)
+    res = run(RunSpec("fft", "lci_psr_cq_pin_i", params, 5,
+                      flow=FlowControlPolicy(credit_window=64,
+                                             max_backlog=0)))
     assert res.faults.get("credit_stalls", 0) == 0
     assert res.faults.get("puts_deferred", 0) == 0
 

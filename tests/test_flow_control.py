@@ -363,14 +363,13 @@ def test_overloaded_runs_are_deterministic(config):
 @pytest.mark.parametrize("config", ["lci_psr_cq_pin_i", "mpi"])
 def test_flow_enabled_unloaded_run_is_byte_identical(config):
     """An armed-but-never-triggered policy must not change the timeline."""
-    from repro.bench.latency import LatencyParams, run_latency
-    from repro.bench.message_rate import MessageRateParams, run_message_rate
+    from repro.bench import LatencyParams, MessageRateParams, RunSpec, run
 
     params = MessageRateParams(msg_size=8, batch=50, total_msgs=1000,
                                inject_rate_kps=200.0, platform=LAPTOP)
-    base = run_message_rate(config, params, seed=5)
-    flowed = run_message_rate(config, params, seed=5,
-                              flow_policy=FlowControlPolicy())
+    base = run(RunSpec("message_rate", config, params, 5))
+    flowed = run(RunSpec("message_rate", config, params, 5,
+                         flow=FlowControlPolicy()))
     assert flowed.inject_time_us == base.inject_time_us
     assert flowed.comm_time_us == base.comm_time_us
     # no flow machinery ever engaged
@@ -379,8 +378,8 @@ def test_flow_enabled_unloaded_run_is_byte_identical(config):
                     "parcels_shed", "pool_backoffs"))
 
     lp = LatencyParams(msg_size=8, window=4, steps=10, platform=LAPTOP)
-    lbase = run_latency(config, lp, seed=5)
-    lflow = run_latency(config, lp, seed=5, flow_policy=FlowControlPolicy())
+    lbase = run(RunSpec("latency", config, lp, 5))
+    lflow = run(RunSpec("latency", config, lp, 5, flow=FlowControlPolicy()))
     assert lflow.total_time_us == lbase.total_time_us
 
 

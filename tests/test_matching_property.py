@@ -130,16 +130,16 @@ def test_unexpected_queue_lockstep(rng_seed):
 
 def test_faulted_run_matches_frozen_reference():
     """End-to-end: drop+corrupt faults, live vs the full frozen stack."""
-    from repro.bench.message_rate import MessageRateParams, run_message_rate
+    from repro.bench import MessageRateParams, RunSpec, run
     from repro.bench.seedpaths import reference_models
 
     params = MessageRateParams(msg_size=8, batch=25, total_msgs=300,
                                inject_rate_kps=200.0)
     plan = FaultPlan.parse("drop=0.05,corrupt=0.02")
     for config in ("mpi_i", "lci_psr_cq_pin_i"):
-        res_live = run_message_rate(config, params, seed=11,
-                                    fault_plan=plan).as_dict()
+        res_live = run(RunSpec("message_rate", config, params, 11,
+                               faults=plan)).as_dict()
         with reference_models():
-            res_ref = run_message_rate(config, params, seed=11,
-                                       fault_plan=plan).as_dict()
+            res_ref = run(RunSpec("message_rate", config, params, 11,
+                                  faults=plan)).as_dict()
         assert res_live == res_ref, config

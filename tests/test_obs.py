@@ -6,8 +6,7 @@ import json
 
 import pytest
 
-from repro.bench.latency import LatencyParams, run_latency
-from repro.bench.message_rate import MessageRateParams, run_message_rate
+from repro.bench import LatencyParams, MessageRateParams, RunSpec, run
 from repro.faults import FaultPlan
 from repro.obs import (CATEGORIES, TRACE_PRESETS, MetricsRegistry,
                        SpanRecorder, analyze, build_chains, parse_trace_spec,
@@ -15,7 +14,6 @@ from repro.obs import (CATEGORIES, TRACE_PRESETS, MetricsRegistry,
                        to_merged_chrome_trace, validate_chrome_trace)
 from repro.sim.core import Simulator
 from repro.sim.stats import TimeSeries, percentile
-from repro.sim.trace import Tracer
 
 pytestmark = pytest.mark.obs
 
@@ -27,16 +25,16 @@ EXPECTED_MSGS = 2 * PARAMS.window * PARAMS.steps  # every ping and pong
 
 @pytest.fixture(scope="module")
 def traced_mpi():
-    return run_latency(MPI_CFG, PARAMS, trace="parcel")
+    return run(RunSpec("latency", MPI_CFG, PARAMS, trace="parcel"))
 
 
 @pytest.fixture(scope="module")
 def traced_lci():
-    return run_latency(LCI_CFG, PARAMS, trace="parcel")
+    return run(RunSpec("latency", LCI_CFG, PARAMS, trace="parcel"))
 
 
 # ---------------------------------------------------------------------------
-# trace-spec parsing + the legacy Tracer
+# trace-spec parsing
 # ---------------------------------------------------------------------------
 def test_parse_trace_spec_presets():
     assert parse_trace_spec(None) is None
@@ -59,31 +57,6 @@ def test_parse_trace_spec_rejects_garbage():
         parse_trace_spec("")
     with pytest.raises(ValueError):
         parse_trace_spec(["wire", "nope"])
-
-
-def test_tracer_empty_categories_means_none():
-    """Regression: ``enable(categories=[])`` must filter everything out,
-    not fall back to 'everything' because an empty set is falsy."""
-    sim = Simulator()
-    tr = Tracer(sim)
-    tr.enable(categories=[])
-    tr.emit("net", "hello")
-    assert len(tr) == 0
-    tr.enable(categories=None)
-    tr.emit("net", "hello")
-    assert len(tr) == 1
-
-
-def test_tracer_bridges_to_span_recorder():
-    sim = Simulator()
-    tr = Tracer(sim)
-    rec = SpanRecorder(sim, spec="all")
-    tr.enable()
-    tr.bridge_to(rec)
-    tr.emit("wire", "leg", mid=7)
-    assert len(rec) == 1
-    assert rec.spans[0].kind == "instant"
-    assert rec.spans[0].fields["mid"] == 7
 
 
 # ---------------------------------------------------------------------------
@@ -127,8 +100,8 @@ def test_span_nesting_well_formed(traced_mpi):
 # ---------------------------------------------------------------------------
 @pytest.mark.parametrize("cfg", [MPI_CFG, LCI_CFG])
 def test_latency_byte_identical_with_tracing(cfg):
-    base = run_latency(cfg, PARAMS, trace=None)
-    traced = run_latency(cfg, PARAMS, trace="parcel")
+    base = run(RunSpec("latency", cfg, PARAMS, trace=None))
+    traced = run(RunSpec("latency", cfg, PARAMS, trace="parcel"))
     assert base.obs is None and traced.obs is not None
     assert traced.total_time_us == base.total_time_us
     assert traced.as_dict() == base.as_dict()
@@ -136,8 +109,8 @@ def test_latency_byte_identical_with_tracing(cfg):
 
 def test_message_rate_byte_identical_with_tracing():
     params = MessageRateParams(msg_size=8, batch=50, total_msgs=500)
-    base = run_message_rate(MPI_CFG, params, trace=None)
-    traced = run_message_rate(MPI_CFG, params, trace="all")
+    base = run(RunSpec("message_rate", MPI_CFG, params, trace=None))
+    traced = run(RunSpec("message_rate", MPI_CFG, params, trace="all"))
     assert traced.as_dict() == base.as_dict()
     assert traced.comm_time_us == base.comm_time_us
 
@@ -164,9 +137,8 @@ def test_exactly_one_chain_per_delivered_message(traced_mpi):
 
 def test_chains_survive_retransmits():
     params = MessageRateParams(msg_size=8, batch=50, total_msgs=500)
-    res = run_message_rate(LCI_CFG, params,
-                           fault_plan=FaultPlan(drop_prob=0.1),
-                           trace="parcel")
+    res = run(RunSpec("message_rate", LCI_CFG, params,
+                      faults=FaultPlan(drop_prob=0.1), trace="parcel"))
     rec = res.obs
     rep = analyze(rec)
     assert rep.retransmits > 0

@@ -2,6 +2,8 @@
 
 The contracts under test:
 
+* A :class:`RunSpec` serializes canonically: stable, sorted, every
+  params field and set layer included (the platform in full).
 * ``run_points`` with ``jobs=N`` returns results **element-wise identical**
   to a sequential run (every point is an independent deterministic
   simulation keyed by its own seed).
@@ -11,68 +13,146 @@ The contracts under test:
 * ``run_sweep(jobs=N)`` produces the same rows as sequential.
 """
 
+import dataclasses
+import json
+import os
+import pickle
+
 import pytest
 
 import repro.bench.parallel as parallel
-from repro.bench.parallel import (ExecutionPolicy, PointTask, ResultCache,
+from repro import FaultPlan, FlowControlPolicy, RetryPolicy
+from repro.bench import (SERVE_FLOW, LatencyParams, MessageRateParams,
+                         OctoTigerBenchParams, RunSpec, ServeBenchParams,
+                         run, workloads)
+from repro.bench.parallel import (ExecutionPolicy, ResultCache,
                                   code_fingerprint, evaluate_point,
-                                  execution, latency_task,
-                                  message_rate_task, octotiger_task,
-                                  run_points, set_policy)
+                                  execution, run_points, set_policy)
 from repro.bench.sweep import SweepSpec, run_sweep
 from repro.hpx_rt.platform import EXPANSE, ROSTAM
 
 
+def rate_spec(cfg="mpi_i", total=300, rate=None, seed=5, **layers):
+    return RunSpec("message_rate", cfg,
+                   MessageRateParams(msg_size=8, batch=50, total_msgs=total,
+                                     inject_rate_kps=rate, platform=EXPANSE),
+                   seed, **layers)
+
+
 def small_tasks(n_seeds=2, total=300):
-    return [message_rate_task(cfg, msg_size=8, batch=50, total_msgs=total,
-                              inject_rate_kps=rate, platform=EXPANSE,
-                              seed=1000 + i * 7919)
+    return [rate_spec(cfg, total, rate, seed=1000 + i * 7919)
             for cfg in ("mpi_i", "lci_psr_cq_pin_i")
             for rate in (100.0, None)
             for i in range(n_seeds)]
 
 
 # ---------------------------------------------------------------------------
-# task descriptors
+# run specs
 # ---------------------------------------------------------------------------
 def test_point_task_canonical_is_stable_and_sorted():
-    t = message_rate_task("mpi_i", msg_size=8, batch=50, total_msgs=100,
-                          inject_rate_kps=None, platform=EXPANSE, seed=3)
+    t = rate_spec(total=100, seed=3)
     c = t.canonical()
     assert c == t.canonical()
-    assert c.index('"config"') < c.index('"kind"') < c.index('"params"')
-    assert '"platform":"expanse"' in c
+    assert (c.index('"config"') < c.index('"params"') < c.index('"seed"')
+            < c.index('"workload"'))
+    assert '"platform":{' in c and '"name":"expanse"' in c
+    # layers that are off are left out of the key
+    for layer in ("faults", "retry", "flow", "trace", "adapt"):
+        assert f'"{layer}"' not in c
 
 
 def test_task_builders_serialize_platform_by_name():
-    t1 = latency_task("mpi_i", msg_size=8, window=4, steps=5,
-                      platform=ROSTAM, seed=1)
-    t2 = octotiger_task("mpi_i", platform=EXPANSE, n_localities=2,
-                        paper_level=4, n_steps=1, seed=1)
-    assert t1.params["platform"] == "rostam"
-    assert t2.params["platform"] == "expanse"
+    """The key carries the platform by name and, since a platform is no
+    longer looked up by name, every other field of it too."""
+    t1 = RunSpec("latency", "mpi_i",
+                 LatencyParams(msg_size=8, window=4, steps=5,
+                               platform=ROSTAM), 1)
+    t2 = RunSpec("octotiger", "mpi_i",
+                 OctoTigerBenchParams(platform=EXPANSE, n_localities=2,
+                                      paper_level=4, n_steps=1), 1)
+    p1 = json.loads(t1.canonical())["params"]["platform"]
+    p2 = json.loads(t2.canonical())["params"]["platform"]
+    assert p1["name"] == "rostam" and p2["name"] == "expanse"
+    assert p1 == dataclasses.asdict(ROSTAM)
+    assert p2 == dataclasses.asdict(EXPANSE)
+    assert "cost" in p1 and "network" in p1
+
+
+def test_same_name_platforms_with_different_costs_get_different_keys(
+        tmp_path):
+    tweaked = EXPANSE.with_(cost=EXPANSE.cost.with_(parcel_create_us=0.5))
+    assert tweaked.name == EXPANSE.name
+    a = rate_spec()
+    b = RunSpec("message_rate", "mpi_i",
+                dataclasses.replace(a.params, platform=tweaked), a.seed)
+    cache = ResultCache(tmp_path)
+    assert a.canonical() != b.canonical()
+    assert cache.key(a) != cache.key(b)
+    cache.put(a, {"x": 1.0})
+    assert cache.get(b) is None
+
+
+def test_set_layers_enter_the_key():
+    base = rate_spec()
+    keys = {base.canonical()}
+    for layers in ({"faults": FaultPlan(drop_prob=0.01)},
+                   {"retry": RetryPolicy()},
+                   {"flow": FlowControlPolicy()},
+                   {"trace": "parcel"}):
+        keys.add(rate_spec(**layers).canonical())
+    assert len(keys) == 5
+
+
+def _one_spec(name):
+    """A small spec for every registered workload."""
+    params = workloads()[name].params()
+    flow = SERVE_FLOW if name == "serve" else None
+    return RunSpec(name, "lci", params, 7, flow=flow,
+                   faults=FaultPlan(drop_prob=0.01))
+
+
+@pytest.mark.parametrize("name", sorted(workloads()))
+def test_spec_pickle_roundtrip_every_workload(name):
+    spec = _one_spec(name)
+    back = pickle.loads(pickle.dumps(spec))
+    assert back == spec
+    assert back.canonical() == spec.canonical()
 
 
 def test_evaluate_point_matches_direct_run():
-    from repro.bench.message_rate import MessageRateParams, run_message_rate
-    task = message_rate_task("mpi_i", msg_size=8, batch=50, total_msgs=300,
-                             inject_rate_kps=None, platform=EXPANSE, seed=5)
-    direct = run_message_rate(
-        "mpi_i", MessageRateParams(msg_size=8, batch=50, total_msgs=300,
-                                   inject_rate_kps=None, platform=EXPANSE),
-        seed=5).as_dict()
+    task = rate_spec()
+    direct = run(RunSpec("message_rate", "mpi_i",
+                         MessageRateParams(msg_size=8, batch=50,
+                                           total_msgs=300,
+                                           inject_rate_kps=None,
+                                           platform=EXPANSE),
+                         seed=5)).as_dict()
     assert evaluate_point(task) == direct
 
 
 def test_evaluate_point_rejects_unknown_kind_and_platform():
-    with pytest.raises(ValueError, match="unknown point kind"):
-        evaluate_point(PointTask("nope", "mpi_i", {}, 0))
-    bad = message_rate_task("mpi_i", msg_size=8, batch=50, total_msgs=10,
-                            inject_rate_kps=None, platform=EXPANSE, seed=0)
-    broken = PointTask("message_rate", "mpi_i",
-                       {**bad.params, "platform": "cray"}, 0)
-    with pytest.raises(ValueError, match="unknown platform"):
-        evaluate_point(broken)
+    with pytest.raises(ValueError, match="unknown workload"):
+        evaluate_point(RunSpec("nope", "mpi_i", MessageRateParams(), 0))
+    with pytest.raises(TypeError, match="LatencyParams"):
+        RunSpec("latency", "mpi_i", MessageRateParams(), 0)
+    # a platform is a PlatformSpec, never a name to look up
+    with pytest.raises(TypeError, match="platform"):
+        RunSpec("message_rate", "mpi_i", MessageRateParams(platform="cray"),
+                0)
+
+
+def test_serve_spec_requires_shed_mode_flow():
+    for flow in (None, FlowControlPolicy(credit_window=8)):
+        with pytest.raises(ValueError, match="shed-mode"):
+            RunSpec("serve", "mpi_i", ServeBenchParams(), 0, flow=flow)
+    RunSpec("serve", "mpi_i", ServeBenchParams(), 0, flow=SERVE_FLOW)
+
+
+def test_run_points_refuses_traced_specs(monkeypatch):
+    monkeypatch.setattr(parallel, "evaluate_point", lambda spec: {})
+    with pytest.raises(ValueError, match="traced"):
+        run_points([rate_spec(), rate_spec(trace="parcel")], jobs=1,
+                   no_cache=True)
 
 
 # ---------------------------------------------------------------------------
@@ -98,10 +178,9 @@ def test_run_sweep_jobs2_rows_identical_to_sequential():
 
 def _sweep_fn(config, total_msgs, seed):
     # top-level so ProcessPoolExecutor workers can unpickle it
-    from repro.bench.message_rate import MessageRateParams, run_message_rate
     params = MessageRateParams(msg_size=8, batch=50, total_msgs=total_msgs,
                                inject_rate_kps=None, platform=EXPANSE)
-    return run_message_rate(config, params, seed=seed).as_dict()
+    return run(RunSpec("message_rate", config, params, seed)).as_dict()
 
 
 # ---------------------------------------------------------------------------
@@ -128,10 +207,9 @@ def test_changed_param_and_seed_miss(tmp_path):
     base = small_tasks(n_seeds=1)[0]
     cache.put(base, {"x": 1.0})
     assert cache.get(base) == {"x": 1.0}
-    other_seed = PointTask(base.kind, base.config, base.params,
-                           base.seed + 1)
-    other_param = PointTask(base.kind, base.config,
-                            {**base.params, "total_msgs": 999}, base.seed)
+    other_seed = dataclasses.replace(base, seed=base.seed + 1)
+    other_param = dataclasses.replace(
+        base, params=base.params.with_(total_msgs=999))
     assert cache.get(other_seed) is None
     assert cache.get(other_param) is None
 
@@ -168,6 +246,28 @@ def test_cache_ignores_corrupt_and_wrong_schema_entries(tmp_path):
     assert cache.get(task) is None
     path.write_text('{"schema": "repro-cache/0", "result": {"x": 1}}')
     assert cache.get(task) is None
+
+
+def test_concurrent_put_of_same_key_does_not_crash(tmp_path, monkeypatch):
+    """Two writers storing one key (two figure runs sharing a cache
+    directory): the second writer's whole put lands between the first
+    writer's write and its rename.  Both must succeed."""
+    cache = ResultCache(tmp_path)
+    task = small_tasks(n_seeds=1)[0]
+    real_replace = os.replace
+    nested = []
+
+    def racing_replace(src, dst):
+        if not nested:
+            nested.append(True)
+            cache.put(task, {"x": 2.0})
+        real_replace(src, dst)
+
+    monkeypatch.setattr(os, "replace", racing_replace)
+    cache.put(task, {"x": 1.0})
+    assert cache.stores == 2
+    assert cache.get(task) == {"x": 1.0}
+    assert not list(tmp_path.rglob("*.tmp"))
 
 
 def test_code_fingerprint_is_hex_and_cached():

@@ -96,12 +96,12 @@ def test_validate_bench_models_kind():
 
 def test_bench_models_document_schema(monkeypatch):
     """bench_models over a miniature real workload: identity + schema."""
-    from repro.bench.message_rate import MessageRateParams, run_message_rate
+    from repro.bench import MessageRateParams, RunSpec, run
 
     params = MessageRateParams(msg_size=8, batch=25, total_msgs=200,
                                inject_rate_kps=200.0)
-    tiny = {"tiny_mpi_i":
-            lambda: run_message_rate("mpi_i", params, seed=7).as_dict()}
+    spec = RunSpec("message_rate", "mpi_i", params, 7)
+    tiny = {"tiny_mpi_i": lambda: run(spec).as_dict()}
     monkeypatch.setattr(perfbench, "_model_workloads", lambda full: tiny)
     doc = perfbench.bench_models(repeats=1)
     assert validate_bench(doc) == []

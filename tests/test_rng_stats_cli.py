@@ -118,60 +118,6 @@ def test_cli_help_lists_figures(capsys):
     assert "fig1" in out and "fig11" in out
 
 
-# ---------------------------------------------------------------------------
-# Tracer
-# ---------------------------------------------------------------------------
-def test_tracer_disabled_by_default():
-    from repro.sim import Simulator, Tracer
-    sim = Simulator()
-    tr = Tracer(sim)
-    tr.emit("x", "ignored")
-    assert len(tr) == 0
-
-
-def test_tracer_records_and_filters():
-    from repro.sim import Simulator, Tracer
-    sim = Simulator()
-    tr = Tracer(sim)
-    tr.enable(categories=["net"])
-    sim.schedule_call(5.0, lambda: tr.emit("net", "tx", size=64))
-    sim.schedule_call(6.0, lambda: tr.emit("sched", "ignored"))
-    sim.run()
-    evs = tr.events()
-    assert len(evs) == 1
-    assert evs[0].t == 5.0
-    assert evs[0].fields == {"size": 64}
-    assert "tx" in tr.render()
-    assert "size=64" in tr.render()
-
-
-def test_tracer_ring_buffer_drops_oldest():
-    from repro.sim import Simulator, Tracer
-    sim = Simulator()
-    tr = Tracer(sim, capacity=3)
-    tr.enable()
-    for i in range(5):
-        tr.emit("c", f"e{i}")
-    assert len(tr) == 3
-    assert tr.dropped == 2
-    assert [e.text for e in tr.events()] == ["e2", "e3", "e4"]
-    tr.clear()
-    assert len(tr) == 0 and tr.dropped == 0
-
-
-def test_tracer_since_and_predicate_filters():
-    from repro.sim import Simulator, Tracer
-    sim = Simulator()
-    tr = Tracer(sim)
-    tr.enable()
-    for t, name in [(1.0, "a"), (2.0, "b"), (3.0, "c")]:
-        sim.schedule_call(t, lambda n=name: tr.emit("k", n))
-    sim.run()
-    assert [e.text for e in tr.events(since=2.0)] == ["b", "c"]
-    assert [e.text for e in tr.events(
-        predicate=lambda e: e.text != "b")] == ["a", "c"]
-
-
 def test_cli_validate_flag_runs_shape_checks(capsys):
     # fig7 is the fastest figure (~4s quick) with registered checks
     rc = cli_main(["fig7", "--no-plot", "--validate"])

@@ -19,15 +19,14 @@ Five contracts, mirroring docs/SERVING.md:
 import numpy as np
 import pytest
 
-from repro import FlowControlPolicy, make_runtime
+from repro import make_runtime
 from repro.apps.serve import (ServeConfig, ServeDriver, bounded_pareto,
                               bounded_pareto_mean, bursty_arrival_times,
                               poisson_arrival_times)
 from repro.bench.figures import SERVE_CONFIGS, find_knee
 from repro.bench.seeds import (REPEAT_BASE, REPEAT_STEP, derive_seed,
                                repeat_seeds, substream_seeds)
-from repro.bench.serve_bench import ServeBenchParams, run_serve
-from repro.flow import OVERFLOW_SHED
+from repro.bench import SERVE_FLOW, RunSpec, ServeBenchParams, run
 from repro.obs.metrics import build_runtime_metrics
 from repro.sim.rng import RngPool
 from repro.sim.stats import TimeSeries, percentile
@@ -206,6 +205,11 @@ def test_p999_empty_series_is_zero_and_ordering_holds():
 # ---------------------------------------------------------------------------
 # driver: config validation and light-load correctness
 # ---------------------------------------------------------------------------
+def _serve(config, params, seed, trace=None):
+    return run(RunSpec("serve", config, params, seed, flow=SERVE_FLOW,
+                       trace=trace))
+
+
 def _light_params(**kw):
     base = dict(offered_kps=50.0, horizon_us=1000.0, drain_us=1000.0)
     base.update(kw)
@@ -230,7 +234,7 @@ def test_serve_config_validation():
 
 @pytest.mark.parametrize("config", CONFIGS)
 def test_light_load_delivers_everything_in_slo(config):
-    res = run_serve(config, _light_params(), seed=1000)
+    res = _serve(config, _light_params(), seed=1000)
     assert res.offered > 20
     assert res.delivered == res.offered
     assert res.shed_requests == res.shed_responses == 0
@@ -261,8 +265,8 @@ def test_driver_claims_the_parcel_failure_hook_exclusively():
 
 
 def test_tiny_slo_counts_misses_without_losing_requests():
-    res = run_serve("lci_psr_cq_pin_i", _light_params(slo_us=0.5),
-                    seed=1000)
+    res = _serve("lci_psr_cq_pin_i", _light_params(slo_us=0.5),
+                 seed=1000)
     assert res.delivered == res.offered
     assert res.deadline_misses == res.delivered
     assert res.goodput_kps == 0.0 and res.slo_attainment == 0.0
@@ -275,17 +279,14 @@ def _conserved(res):
 
 
 def test_bursty_arrival_end_to_end_run():
-    res = run_serve("mpi_i", _light_params(arrival="bursty"), seed=1000)
+    res = _serve("mpi_i", _light_params(arrival="bursty"), seed=1000)
     assert _conserved(res)
     assert res.offered > 0 and res.delivered > 0
 
 
 def test_serve_stats_flow_into_metrics_registry():
     rt = make_runtime("lci_psr_cq_pin_i", n_localities=3, seed=5,
-                      flow_policy=FlowControlPolicy(
-                          credit_window=8, max_backlog=16,
-                          max_queued_parcels=64, overflow=OVERFLOW_SHED),
-                      reliable=True)
+                      flow_policy=SERVE_FLOW, reliable=True)
     driver = ServeDriver(rt, ServeConfig(offered_kps=50.0,
                                          horizon_us=1000.0))
     res = driver.run(max_events=5_000_000)
@@ -308,7 +309,7 @@ OVERLOAD = ServeBenchParams(offered_kps=1600.0, horizon_us=1500.0,
 
 @pytest.mark.parametrize("config", CONFIGS)
 def test_sustained_overload_sheds_and_conserves(config):
-    res = run_serve(config, OVERLOAD, seed=1000)
+    res = _serve(config, OVERLOAD, seed=1000)
     assert _conserved(res)
     assert res.shed_requests > 0, "admission control never engaged"
     assert res.slo_attainment < 0.5, "overload point is not saturating"
@@ -319,30 +320,30 @@ def test_sustained_overload_sheds_and_conserves(config):
 def test_quiesce_catches_in_flight_requests_exactly():
     # No drain: whatever the horizon catches mid-stack must be counted
     # as in_flight, and the identity must still close.
-    res = run_serve("mpi_i",
-                    ServeBenchParams(offered_kps=800.0, horizon_us=1000.0,
-                                     drain_us=0.0),
-                    seed=1000)
+    res = _serve("mpi_i",
+                 ServeBenchParams(offered_kps=800.0, horizon_us=1000.0,
+                                  drain_us=0.0),
+                 seed=1000)
     assert _conserved(res)
     assert res.in_flight > 0
 
 
 def test_overload_accounting_is_rerun_deterministic():
-    a = run_serve("lci_psr_cq_pin_i", OVERLOAD, seed=1000).as_dict()
-    b = run_serve("lci_psr_cq_pin_i", OVERLOAD, seed=1000).as_dict()
+    a = _serve("lci_psr_cq_pin_i", OVERLOAD, seed=1000).as_dict()
+    b = _serve("lci_psr_cq_pin_i", OVERLOAD, seed=1000).as_dict()
     assert a == b
 
 
 def test_traced_run_reports_identical_metrics():
-    plain = run_serve("mpi_i", OVERLOAD, seed=1000)
-    traced = run_serve("mpi_i", OVERLOAD, seed=1000, trace="parcel")
+    plain = _serve("mpi_i", OVERLOAD, seed=1000)
+    traced = _serve("mpi_i", OVERLOAD, seed=1000, trace="parcel")
     assert plain.as_dict() == traced.as_dict()
     assert traced.obs is not None and len(traced.obs) > 0
 
 
 def test_different_seeds_give_different_schedules():
-    a = run_serve("mpi_i", OVERLOAD, seed=1000)
-    b = run_serve("mpi_i", OVERLOAD, seed=8919)
+    a = _serve("mpi_i", OVERLOAD, seed=1000)
+    b = _serve("mpi_i", OVERLOAD, seed=8919)
     assert a.offered != b.offered or a.as_dict() != b.as_dict()
 
 
@@ -350,13 +351,10 @@ def test_different_seeds_give_different_schedules():
 # sweep integration: --jobs and warm-cache invariance
 # ---------------------------------------------------------------------------
 def _overload_tasks():
-    from repro.bench.parallel import serve_task
-
-    from repro.hpx_rt.platform import EXPANSE
-
-    return [serve_task(cfg, offered_kps=kps, horizon_us=1000.0,
-                       n_localities=4, platform=EXPANSE, seed=seed,
-                       drain_us=1000.0)
+    return [RunSpec("serve", cfg,
+                    ServeBenchParams(offered_kps=kps, horizon_us=1000.0,
+                                     drain_us=1000.0),
+                    seed, flow=SERVE_FLOW)
             for cfg in ("lci_psr_cq_pin_i", "mpi_i")
             for kps in (100.0, 1600.0)
             for seed in repeat_seeds(1)]

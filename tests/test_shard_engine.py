@@ -13,10 +13,11 @@ from __future__ import annotations
 import pytest
 
 from repro import make_runtime
+from repro.bench import (SERVE_FLOW, FftBenchParams, MessageRateParams,
+                         OctoTigerBenchParams, RunSpec, ServeBenchParams,
+                         run)
 from repro.bench.parallel import (ResultCache, code_fingerprint,
-                                  evaluate_point, execution, fft_task,
-                                  message_rate_task, octotiger_task,
-                                  serve_task)
+                                  evaluate_point, execution)
 from repro.faults import FaultPlan
 from repro.hpx_rt.platform import EXPANSE
 from repro.sim.shard import (LookaheadViolation, ShardContext,
@@ -40,30 +41,31 @@ def _assert_invariant(task, counts=(1, 2, 4)):
 def test_fig1_point_invariance():
     # 2 localities; shards=4 also exercises shards with zero owned
     # localities (they must barrier along without perturbing anything).
-    _assert_invariant(message_rate_task(
-        "mpi", msg_size=64, batch=8, total_msgs=240,
-        inject_rate_kps=None, platform=EXPANSE, seed=7))
+    _assert_invariant(RunSpec("message_rate", "mpi", MessageRateParams(
+        msg_size=64, batch=8, total_msgs=240, inject_rate_kps=None,
+        platform=EXPANSE), 7))
 
 
 def test_fig1_point_invariance_lci():
-    _assert_invariant(message_rate_task(
-        "lci", msg_size=64, batch=8, total_msgs=240,
-        inject_rate_kps=None, platform=EXPANSE, seed=3))
+    _assert_invariant(RunSpec("message_rate", "lci", MessageRateParams(
+        msg_size=64, batch=8, total_msgs=240, inject_rate_kps=None,
+        platform=EXPANSE), 3))
 
 
 def test_fft_point_invariance():
     # "all"-mode termination + distributed-state contributions
     # (_out/_checksum/_marks flow to the root shard at the stop).
-    _assert_invariant(fft_task(
-        "lci", n1=8, n2=8, n_localities=4, platform=EXPANSE, seed=11))
+    _assert_invariant(RunSpec("fft", "lci", FftBenchParams(
+        n1=8, n2=8, n_localities=4, platform=EXPANSE), 11))
 
 
 def test_serve_point_invariance():
     # Saturated so the identity premises hold: the quiesce timer (a
     # replica on every shard, same seq on each) cuts the run, and sheds
     # are request-side (gateway) only.
-    task = serve_task("lci", offered_kps=3000.0, horizon_us=1200.0,
-                      n_localities=4, platform=EXPANSE, seed=13)
+    task = RunSpec("serve", "lci", ServeBenchParams(
+        offered_kps=3000.0, horizon_us=1200.0, n_localities=4,
+        platform=EXPANSE), 13, flow=SERVE_FLOW)
     seq = _assert_invariant(task)
     assert seq["shed_requests"] > 0          # genuinely saturated
     assert seq["shed_responses"] == 0        # premise of the cut proof
@@ -72,8 +74,9 @@ def test_serve_point_invariance():
 def test_policy_routing_through_execution():
     # --shards routes evaluate_point through the sharded engine; the
     # result must equal the plain sequential evaluation.
-    task = message_rate_task("lci", msg_size=64, batch=8, total_msgs=160,
-                             inject_rate_kps=None, platform=EXPANSE, seed=5)
+    task = RunSpec("message_rate", "lci", MessageRateParams(
+        msg_size=64, batch=8, total_msgs=160, inject_rate_kps=None,
+        platform=EXPANSE), 5)
     seq = evaluate_point(task)
     with execution(jobs=1, shards=2):
         assert evaluate_point(task) == seq
@@ -181,11 +184,18 @@ def test_one_runtime_per_shard():
 
 
 def test_octotiger_rejected_under_shards():
-    task = octotiger_task("mpi_i", n_localities=2, paper_level=3,
-                          n_steps=1, platform=EXPANSE, seed=7)
+    task = RunSpec("octotiger", "mpi_i", OctoTigerBenchParams(
+        n_localities=2, paper_level=3, n_steps=1, platform=EXPANSE), 7)
     with execution(jobs=1, shards=2):
         with pytest.raises(ShardingUnsupported, match="octotiger"):
             evaluate_point(task)
+    # the same guard holds for a direct run inside a shard worker
+    set_current(ShardContext(0, 2))
+    try:
+        with pytest.raises(ShardingUnsupported, match="octotiger"):
+            run(task)
+    finally:
+        set_current(None)
 
 
 def test_shards_one_is_in_process():
@@ -218,8 +228,9 @@ def test_cache_misses_after_shard_module_edit(tmp_path, monkeypatch):
 
     import repro
 
-    task = message_rate_task("mpi", msg_size=8, batch=8, total_msgs=16,
-                             inject_rate_kps=None, platform=EXPANSE, seed=1)
+    task = RunSpec("message_rate", "mpi", MessageRateParams(
+        msg_size=8, batch=8, total_msgs=16, inject_rate_kps=None,
+        platform=EXPANSE), 1)
     cache = ResultCache(tmp_path / "cache")
     try:
         key_before = cache.key(task)
