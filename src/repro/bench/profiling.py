@@ -103,6 +103,11 @@ def runtime_breakdown(rt: HpxRuntime) -> Dict[str, float]:
                 + cq.stats.counters.get("empty_pops", 0)
             out["lci_cq_max_depth"] = max(out.get("lci_cq_max_depth", 0),
                                           cq.max_depth)
+        if devices:
+            for key in ("idle_rounds_elided", "lazy_materialized",
+                        "lazy_ties_resolved"):
+                out[f"lci_{key}"] = out.get(f"lci_{key}", 0) \
+                    + pp.stats.counters.get(key, 0)
         sync_pending = getattr(pp, "sync_pending", None)
         if sync_pending is not None:
             out["lci_sync_pending"] = out.get("lci_sync_pending", 0) \

@@ -31,7 +31,8 @@ class CompletionQueue:
     ``(entry | None, cpu_cost_us)`` for the consumer to charge itself.
     """
 
-    __slots__ = ("sim", "name", "params", "_items", "stats", "max_depth")
+    __slots__ = ("sim", "name", "params", "_items", "stats", "max_depth",
+                 "on_signal")
 
     def __init__(self, sim: Simulator, params: LciParams, name: str = ""):
         self.sim = sim
@@ -40,12 +41,19 @@ class CompletionQueue:
         self._items: Deque[Any] = deque()
         self.stats = StatSet(self.name)
         self.max_depth = 0
+        #: ``fn(cq)`` run before each signal: the consumer's idle workers
+        #: that skip their empty pops must see the entry (see
+        #: :meth:`repro.parcelport.lci_pp.LciParcelport._lazy_signal`)
+        self.on_signal: Optional[Callable[["CompletionQueue"], None]] = None
 
     @property
     def signal_cost_us(self) -> float:
         return self.params.cq_push_us
 
     def signal(self, value: Any) -> None:
+        hook = self.on_signal
+        if hook is not None:
+            hook(self)
         self._items.append(value)
         self.stats.inc("signals")
         if len(self._items) > self.max_depth:

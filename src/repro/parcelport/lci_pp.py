@@ -23,12 +23,15 @@ a block of ``n`` tags is drawn from the shared atomic counter per message.
 from __future__ import annotations
 
 from collections import deque
+from functools import cmp_to_key, reduce
+from operator import add
 from typing import Any, Deque, Optional, Tuple, TYPE_CHECKING
 
 from ..hpx_rt.parcel import HpxMessage
 from ..lci_sim.completion import CompletionQueue, Synchronizer
 from ..lci_sim.device import LciDevice
 from ..lci_sim.params import DEFAULT_LCI_PARAMS, LciParams
+from ..sim.core import Simulator
 from ..sim.primitives import SpinLock
 from .base import Connection, DetachedWorker, Parcelport
 from .config import PPConfig
@@ -53,6 +56,26 @@ HEADER_DECODE_US = 0.20
 CQ_POPS_PER_SLICE = 8
 #: synchronizers tested per background slice (sy mode)
 SYNC_SCAN_LIMIT = 8
+
+
+def lazy_idle_eligible(pp: "LciParcelport") -> bool:
+    """Can ``pp``'s idle workers skip their empty CQ polls as lazy
+    windows (:meth:`LciParcelport._background_lazy`)?
+
+    Only when an idle round is nothing but CQ pops: a pinned progress
+    thread (workers never call progress), ``cq`` completion (no
+    synchronizer scan), no reliability, flow control or adaptive
+    controller; and every charge positive so chain times strictly
+    increase.  The sharded engine and the frozen reference kernel run
+    the step path.
+    """
+    return (pp.reserves_progress_core and pp.completion == "cq"
+            and pp.reliability is None and pp.flow is None
+            and pp.adapt is None
+            and type(pp.sim) is Simulator
+            and pp.locality.runtime.shard_ctx is None
+            and pp.cost.background_call_us > 0
+            and pp.comp_cq.params.cq_pop_us > 0)
 
 
 class LciParcelport(Parcelport):
@@ -116,6 +139,21 @@ class LciParcelport(Parcelport):
                 self.adapt is not None and self.adapt.spec.switch_progress):
             self.sim.process(self._progress_loop(),
                              name=f"L{self.locality.lid}.lci_progress")
+        if lazy_idle_eligible(self):
+            # Idle rounds are pure CQ pops: workers use the lazy body.
+            self._lazy_polls = (self.header_cqs if self.protocol == "psr"
+                                else []) + [self.comp_cq]
+            one = [self.cost.background_call_us] + [
+                cq.params.cq_pop_us * 0.5 for cq in self._lazy_polls]
+            #: the ops of 1 and 2 idle rounds (a call ends after two)
+            self._lazy_costs = {1: one, 2: one * 2}
+            #: open windows still skipping pops (dict as an ordered set)
+            self._lazy_windows = {}
+            self._lazy_counters = [cq.stats.counters
+                                   for cq in self._lazy_polls]
+            for cq in self._lazy_polls:
+                cq.on_signal = self._lazy_signal
+            self.background_work = self._background_lazy
 
     def _boot_sr(self):
         for dev in self.devices:
@@ -570,6 +608,151 @@ class LciParcelport(Parcelport):
                 if idle_rounds >= 2:
                     break
         return did_any
+
+    def _background_lazy(self, worker, rounds=None):
+        """Generator → bool: :meth:`background_work` for configurations
+        passing :func:`lazy_idle_eligible`, with lazy idle rounds.
+
+        A round is the round-top charge plus up to ``CQ_POPS_PER_SLICE``
+        pops of each polled CQ, as in :meth:`background_work`.  When a
+        round starts with every polled CQ empty, the call's remaining idle
+        rounds are fully determined: they become one heap record (a
+        :class:`repro.sim.core.LazyWindow`) at the time the step path
+        would end them, with their charges and pop counters replayed when
+        it fires.  A signal on a polled CQ in between may materialize the
+        window (:meth:`_lazy_signal`): the worker then resumes at its
+        first pop after the signal.
+        """
+        polls = self._lazy_polls
+        sim = self.sim
+        did_any = False
+        idle_rounds = 0
+        left = rounds if rounds is not None else self.poll_rounds
+        while left > 0:
+            pos = 0
+            window = None
+            for cq in polls:
+                if cq._items:
+                    break
+            else:
+                span = 2 - idle_rounds if left > 1 else 1
+                costs = self._lazy_costs[span]
+                window = sim.lazy_open(
+                    (self, worker, costs, sim.active_process))
+            if window is not None:
+                self._lazy_windows[window] = None
+                op = yield window
+                sim.lazy_close(window)
+                if op is None:
+                    if window in self._lazy_windows:
+                        # never materialized: apply every op at once
+                        del self._lazy_windows[window]
+                        accum = worker.stats.accum
+                        accum["cpu_us"] = reduce(add, costs, accum["cpu_us"])
+                        for counters in self._lazy_counters:
+                            counters["pops"] += span
+                            counters["empty_pops"] += span
+                    self.stats.counters["idle_rounds_elided"] += span
+                    return did_any
+                # Resume at op ``op``: a round top, or the pop of
+                # ``polls[pos - 1]`` in a round already charged.
+                skipped, pos = divmod(op, len(polls) + 1)
+                if skipped:
+                    self.stats.counters["idle_rounds_elided"] += skipped
+                    idle_rounds += skipped
+                    left -= skipped
+                if pos == 0:
+                    continue
+            if pos == 0:
+                yield worker.cpu(self.cost.background_call_us)
+            did = False
+            for i in range(max(pos - 1, 0), len(polls)):
+                cq = polls[i]
+                for _ in range(CQ_POPS_PER_SLICE):
+                    entry, pop_cost = cq.pop()
+                    yield worker.cpu(pop_cost)
+                    if entry is None:
+                        break
+                    yield from self._dispatch(worker, entry)
+                    did = True
+            if did:
+                did_any = True
+                idle_rounds = 0
+            else:
+                idle_rounds += 1
+                if idle_rounds >= 2:
+                    break
+            left -= 1
+        return did_any
+
+    # -- lazy windows (owner protocol of repro.sim.core.LazyWindow) ------
+    # A window's ops ``0 .. len(costs) - 1`` are the step path's charges
+    # in order: per round, the round-top ``background_call_us`` then one
+    # empty pop of each polled CQ.  Op ``o`` runs while chain record ``o``
+    # is processed (record 0 is the event that opened the window); record
+    # ``len(costs)`` ends the call.  ``window.ctx`` is the worker.
+    def lazy_settle(self, window, point: tuple) -> None:
+        """Materialize ``window`` because the run returns at ``point``."""
+        if window in self._lazy_windows:
+            self._materialize(window,
+                              self.sim.lazy_count_before(window, point))
+
+    def _materialize(self, window, k: int) -> None:
+        """Put ``window`` back on the step path after its op ``k``: apply
+        ops ``0 .. k`` — the worker's ``cpu_us`` adds one by one, in order
+        (float sums are order-sensitive), and each pop's CQ counters — and
+        resume the worker at op ``k + 1``."""
+        del self._lazy_windows[window]
+        costs = window.costs
+        accum = window.ctx.stats.accum
+        accum["cpu_us"] = reduce(add, costs[:k + 1], accum["cpu_us"])
+        width = len(self._lazy_polls) + 1
+        for o in range(1, k + 1):
+            pos = o % width
+            if pos:
+                counters = self._lazy_counters[pos - 1]
+                counters["pops"] += 1
+                counters["empty_pops"] += 1
+        self.stats.inc("lazy_materialized")
+        if k + 1 < len(costs):
+            self.sim.lazy_resume_at(window, k + 1, k + 1)
+
+    def _lazy_signal(self, cq: CompletionQueue) -> None:
+        """``cq`` is about to get an entry: materialize every skipping
+        worker that could see it.
+
+        The next ``len(cq) + 1`` pops of ``cq`` take every entry it holds.
+        While the other polled CQs are empty, a materialized window pops
+        ``cq`` exactly when its skipped pop was due (nothing to dispatch
+        on the way), so only the windows whose pops of ``cq`` come first
+        in step-path order need to leave; the rest would find it drained.
+        Otherwise all of them do.
+        """
+        windows = self._lazy_windows
+        if not windows:
+            return
+        sim = self.sim
+        point = sim.lazy_point()
+        polls = self._lazy_polls
+        col = polls.index(cq) + 1
+        width = len(polls) + 1
+        selective = all(other is cq or not other._items for other in polls)
+        first = []
+        for window in windows:
+            k = sim.lazy_count_before(window, point)
+            o = k + 1 + (col - k - 1) % width
+            if o < len(window.costs) or not selective:
+                first.append((window, o, k))
+        need = len(cq) + 1
+        if selective and len(first) > need:
+            first.sort(key=cmp_to_key(
+                lambda a, b: -1 if sim.lazy_before(a[:2], b[:2]) else 1))
+            del first[need:]
+        for window, _o, k in first:
+            self._materialize(window, k)
+
+    def lazy_tie(self, window) -> None:
+        self.stats.inc("lazy_ties_resolved")
 
     def _background_once(self, worker):
         """One unguarded background round (the seed shape: every sub-poll

@@ -22,6 +22,11 @@ pre-optimisation kernel (kept frozen in :mod:`repro.sim._seed_kernel` and
 compared against in ``tests/test_determinism_kernel.py``).  See
 docs/PERFORMANCE.md for the full catalogue of fast paths.
 
+A model may also skip records it can predict (a :class:`LazyWindow`): the
+kernel then orders same-time ties by the skipped records' virtual
+schedule, so the model's results and observable actions stay those of
+the step path while ``event_count`` drops.
+
 Example
 -------
 >>> sim = Simulator()
@@ -37,7 +42,11 @@ Example
 
 from __future__ import annotations
 
+from bisect import bisect_right
+from functools import reduce
 from heapq import heappop as _heappop, heappush as _heappush
+from itertools import accumulate
+from operator import add
 from typing import Any, Callable, Generator, Iterable, Optional, Tuple
 
 __all__ = [
@@ -49,6 +58,7 @@ __all__ = [
     "Interrupt",
     "Simulator",
     "SimulationError",
+    "LazyWindow",
 ]
 
 #: Event priorities: URGENT events fire before NORMAL events scheduled at the
@@ -67,6 +77,16 @@ NORMAL = 1
 #: seqs are ints, so the distinct priority level also keeps the heap's
 #: lexicographic compare from ever mixing the two.
 DELIVERY = 0.5
+
+#: events run logged with no lazy window open before the fast loop resumes
+_IDLE_LOG = 64
+#: log length past which no new window opens until the open ones close
+#: and the log is cleared (overlapping windows can keep each other's
+#: history reachable, so this is what bounds the log's memory)
+_LOG_LIMIT = 8192
+#: pseudo priority of a settle point after a deadline: after every record
+#: at that time
+_AFTER_ALL = 2
 
 
 class SimulationError(RuntimeError):
@@ -243,6 +263,93 @@ class _Call1(Event):
 
     def _invoke(self, _event: Event) -> None:
         self.fn(self.arg)
+
+
+class LazyWindow(Event):
+    """A run of skipped step records (a *lazy window*); also the heap
+    record of its last one.
+
+    A process that can predict its next ``N`` bare-delay resumes — ``N``
+    records at times ``times[1] < ... < times[N]`` with delays ``costs``,
+    each allocated while the previous one is processed (``times[0]`` is
+    the opening time) — may replace them by this one record at
+    ``times[N]`` (:meth:`Simulator.lazy_open`).  The kernel keeps the
+    window's *virtual* schedule so that, wherever a skipped record would
+    have tied with a real one at the same ``(time, NORMAL)``, the order
+    is still the one the step path would have produced.
+
+    Chain record ``j`` is the one at ``times[j]``; record 1's seq is the
+    window's own ``seq``.  ``spec`` is ``(owner, ctx, costs, proc)``:
+    ``proc`` is the process that yields the window, ``ctx`` is the
+    owner's, and ``owner`` implements ``lazy_settle(window, point)``
+    (bring the window up to a point, e.g. because :meth:`Simulator.run`
+    returns) and ``lazy_tie(window)`` (a tie was resolved).  ``record`` is
+    None while the window itself is the pending record.
+    """
+
+    __slots__ = ("spec", "t0", "seq", "record", "_times")
+
+    @property
+    def owner(self) -> Any:
+        return self.spec[0]
+
+    @property
+    def ctx(self) -> Any:
+        return self.spec[1]
+
+    @property
+    def costs(self) -> list:
+        return self.spec[2]
+
+    @property
+    def times(self) -> list:
+        """Chain times by the step path's own sequential float adds."""
+        try:
+            return self._times
+        except AttributeError:
+            times = self._times = list(accumulate(self.spec[2],
+                                                  initial=self.t0))
+            return times
+
+
+class _LazyWake(Event):
+    """Heap record standing for chain record ``index`` of ``window`` once
+    the window has been put back on the step path; superseded (a no-op)
+    once it is no longer ``window.record``."""
+
+    __slots__ = ("window", "index")
+
+
+def _as_point(item: tuple) -> tuple:
+    """A heap item as a processing point: a window's current record by
+    its virtual identity ``(window, j)``, everything else (superseded
+    lazy records included) as itself."""
+    ev = item[3]
+    cls = ev.__class__
+    if cls is LazyWindow:
+        if ev.record is None:
+            return ev, len(ev.spec[2])
+    elif cls is _LazyWake:
+        window = ev.window
+        if window.record is ev:
+            return window, ev.index
+    return item
+
+
+def _tp(x: tuple) -> tuple:
+    """``(time, priority)`` of a processing point."""
+    if len(x) == 2:
+        return x[0].times[x[1]], NORMAL
+    return x[0], x[1]
+
+
+def _alloc(x: tuple):
+    """Where a point's seq was allocated: a real seq (int), or the virtual
+    chain record ``(window, j)`` whose processing allocated it."""
+    if len(x) == 2:
+        window, j = x
+        return window.seq if j == 1 else (window, j - 1)
+    return x[2]
 
 
 def _succeed_stashed(wake: "_Wake") -> None:
@@ -481,6 +588,15 @@ class Simulator:
         self._seq: int = 0
         self._active_process: Optional[Process] = None
         self.event_count = 0
+        #: open lazy windows (insertion-ordered); empty => fast run loop
+        self._lazy: dict = {}
+        #: while a window is open: per processed event, the seq counter
+        #: at its start and its heap item (seq -> allocating event)
+        self._log_seq: list = []
+        self._log_item: list = []
+        #: events go through _run_logged (set by the first window; cleared
+        #: after a stretch with none open)
+        self._logging = False
 
     # -- factories ---------------------------------------------------------
     def event(self) -> Event:
@@ -603,7 +719,14 @@ class Simulator:
         inlines this body into its tight loops); kept as the single-step
         API for tests and schedule tracing.
         """
-        t, _prio, _seq, event = _heappop(self._heap)
+        heap = self._heap
+        item = _heappop(heap)
+        if self._lazy:
+            if heap and heap[0][0] == item[0] and heap[0][1] == NORMAL:
+                item = self._lazy_pick(item)
+            self._log_seq.append(self._seq)
+            self._log_item.append(item)
+        t, _prio, _seq, event = item
         if t < self.now:
             raise SimulationError("time went backwards")
         self.now = t
@@ -628,6 +751,13 @@ class Simulator:
             Safety valve; raise once exactly ``max_events`` events have been
             processed and more remain (the run may *complete* in exactly
             ``max_events``).
+
+        The two inlined loops below are the fast path.  Once a lazy window
+        opens (:meth:`lazy_open`) events go through :meth:`_run_logged`
+        instead: opening moves the heap to a fresh list, which empties the
+        list the running loop holds and so switches loops without any
+        per-event check.  ``_run_logged`` hands back after a stretch of
+        events with no window open.
         """
         stop_event: Optional[Event] = None
         deadline: Optional[float] = None
@@ -638,63 +768,84 @@ class Simulator:
         elif until is not None:
             deadline = float(until)
 
-        heap = self._heap
         pop = _heappop
         limit = max_events if max_events is not None else float("inf")
-        now = self.now
         processed = 0
         try:
-            if deadline is None:
-                # Hot path: run to exhaustion or until ``stop_event``
-                # triggers, with the step() body inlined.
-                while heap:
-                    if stop_event is not None \
-                            and stop_event.callbacks is None:
+            while True:
+                heap = self._heap
+                now = self.now
+                if self._logging:
+                    processed += self._run_logged(stop_event, deadline,
+                                                  limit - processed)
+                    if self._logging:
                         break
-                    if processed >= limit:
-                        raise SimulationError(
-                            f"exceeded max_events={max_events} "
-                            f"(possible livelock)")
-                    item = pop(heap)
-                    t = item[0]
-                    if t < now:
-                        raise SimulationError("time went backwards")
-                    self.now = now = t
-                    processed += 1
-                    event = item[3]
-                    callbacks = event.callbacks
-                    event.callbacks = None
-                    event.processed = True
-                    for cb in callbacks:
-                        cb(event)
-            else:
-                # Deadline path: peek before popping so events beyond the
-                # deadline stay scheduled.
-                while heap:
-                    if stop_event is not None \
-                            and stop_event.callbacks is None:
-                        break
-                    t = heap[0][0]
-                    if t > deadline:
-                        self.now = deadline
-                        break
-                    if processed >= limit:
-                        raise SimulationError(
-                            f"exceeded max_events={max_events} "
-                            f"(possible livelock)")
-                    item = pop(heap)
-                    if t < now:
-                        raise SimulationError("time went backwards")
-                    self.now = now = t
-                    processed += 1
-                    event = item[3]
-                    callbacks = event.callbacks
-                    event.callbacks = None
-                    event.processed = True
-                    for cb in callbacks:
-                        cb(event)
+                    continue  # no window for a while: back to fast loops
+                if deadline is None:
+                    # Hot path: run to exhaustion or until ``stop_event``
+                    # triggers, with the step() body inlined.
+                    while heap:
+                        if stop_event is not None \
+                                and stop_event.callbacks is None:
+                            break
+                        if processed >= limit:
+                            raise SimulationError(
+                                f"exceeded max_events={max_events} "
+                                f"(possible livelock)")
+                        item = pop(heap)
+                        t = item[0]
+                        if t < now:
+                            raise SimulationError("time went backwards")
+                        self.now = now = t
+                        processed += 1
+                        event = item[3]
+                        callbacks = event.callbacks
+                        event.callbacks = None
+                        event.processed = True
+                        for cb in callbacks:
+                            cb(event)
+                else:
+                    # Deadline path: peek before popping so events beyond
+                    # the deadline stay scheduled.
+                    while heap:
+                        if stop_event is not None \
+                                and stop_event.callbacks is None:
+                            break
+                        t = heap[0][0]
+                        if t > deadline:
+                            self.now = deadline
+                            break
+                        if processed >= limit:
+                            raise SimulationError(
+                                f"exceeded max_events={max_events} "
+                                f"(possible livelock)")
+                        item = pop(heap)
+                        if t < now:
+                            raise SimulationError("time went backwards")
+                        self.now = now = t
+                        processed += 1
+                        event = item[3]
+                        callbacks = event.callbacks
+                        event.callbacks = None
+                        event.processed = True
+                        for cb in callbacks:
+                            cb(event)
+                if self._heap is heap:
+                    break
+                # the heap moved: a lazy window opened
         finally:
             self.event_count += processed
+        if self._lazy:
+            # Returning mid-window: the skipped records the step path would
+            # have processed by now must show in every counter the caller
+            # may read.
+            if stop_event is not None and stop_event.callbacks is None:
+                point = self.lazy_point()
+            else:
+                point = (self.now if deadline is None else deadline,
+                         _AFTER_ALL, 0, None)
+            for window in list(self._lazy):
+                window.owner.lazy_settle(window, point)
         if stop_event is not None:
             if not stop_event.triggered:
                 raise SimulationError(
@@ -705,6 +856,226 @@ class Simulator:
         if deadline is not None and not self._heap:
             self.now = max(self.now, deadline)
         return None
+
+    def _run_logged(self, stop_event: Optional[Event],
+                    deadline: Optional[float], limit: float) -> int:
+        """:meth:`run`'s loop while lazy windows are open: every processed
+        event is logged (for :meth:`_seq_before`) and a popped lazy record
+        with a same-``(time, NORMAL)`` rival goes through
+        :meth:`_lazy_pick`.  Returns the number of events processed; once
+        ``_IDLE_LOG`` events pass with no window open it clears
+        ``_logging`` and returns early."""
+        heap = self._heap
+        pop = _heappop
+        lazy = self._lazy
+        log_seq = self._log_seq
+        log_seq_append = log_seq.append
+        log_item_append = self._log_item.append
+        now = self.now
+        n = 0
+        while heap:
+            if stop_event is not None and stop_event.callbacks is None:
+                break
+            t = heap[0][0]
+            if deadline is not None and t > deadline:
+                self.now = deadline
+                break
+            if n >= limit:
+                self.event_count += n
+                raise SimulationError(
+                    "exceeded max_events (possible livelock)")
+            item = pop(heap)
+            event = item[3]
+            cls = event.__class__
+            if (cls is LazyWindow or cls is _LazyWake) and heap \
+                    and heap[0][0] == t and heap[0][1] == NORMAL:
+                item = self._lazy_pick(item)
+                event = item[3]
+            if t < now:
+                raise SimulationError("time went backwards")
+            self.now = now = t
+            n += 1
+            log_seq_append(self._seq)
+            log_item_append(item)
+            callbacks = event.callbacks
+            event.callbacks = None
+            event.processed = True
+            for cb in callbacks:
+                cb(event)
+            if not lazy and len(log_seq) > _IDLE_LOG:
+                self._logging = False
+                log_seq.clear()
+                self._log_item.clear()
+                break
+        return n
+
+    # -- lazy windows -------------------------------------------------------
+    def lazy_open(self, spec: tuple) -> Optional[LazyWindow]:
+        """Open a window (see :class:`LazyWindow`): one record standing for
+        the step records ``yield costs[0]``, ``yield costs[1]``, ... would
+        schedule, returned for the process to yield.  Its seq is allocated
+        here, where the step path would allocate chain record 1's.
+        Returns None, and the caller takes the step path, while the log is
+        over ``_LOG_LIMIT`` entries."""
+        if len(self._log_seq) > _LOG_LIMIT:
+            return None
+        now = self.now
+        seq = self._seq
+        self._seq = seq + 1
+        if not self._lazy:
+            if not self._logging:
+                # Move the heap: the fast loop holding the old list ends
+                # and run() continues in _run_logged.
+                self._logging = True
+                old = self._heap
+                self._heap = old[:]
+                old.clear()
+            # Stand-in for the event being processed: seqs from ``seq`` on
+            # were allocated by it, and every chain time lies after it.
+            self._log_seq.clear()
+            self._log_item.clear()
+            self._log_seq.append(seq)
+            self._log_item.append((now, URGENT, -1, None))
+        window = LazyWindow.__new__(LazyWindow)
+        window.callbacks = []
+        window._value = None
+        window._ok = True
+        window.spec = spec
+        window.t0 = now
+        window.seq = seq
+        window.record = None
+        self._lazy[window] = None
+        _heappush(self._heap,
+                  (reduce(add, spec[2], now), NORMAL, seq, window))
+        return window
+
+    def lazy_resume_at(self, window: LazyWindow, j: int, value: Any) -> None:
+        """Replace the window's pending record by chain record ``j``: its
+        process resumes at ``times[j]`` receiving ``value``, ordered among
+        ties as the step path's record ``j`` would be.  The replaced record
+        stays in the heap as a no-op."""
+        (window.record or window).callbacks = []
+        proc = window.spec[3]
+        rec = _LazyWake.__new__(_LazyWake)
+        rec.callbacks = [proc._bound_resume]
+        rec._value = value
+        rec._ok = True
+        rec.window = window
+        rec.index = j
+        proc._target = rec
+        window.record = rec
+        _heappush(self._heap, (window.times[j], NORMAL, window.seq, rec))
+
+    def lazy_close(self, window: LazyWindow) -> None:
+        """Forget a window whose pending record has fired."""
+        lazy = self._lazy
+        del lazy[window]
+        if not lazy:
+            self._log_seq.clear()
+            self._log_item.clear()
+
+    def lazy_point(self) -> tuple:
+        """The event being processed, as a point for
+        :meth:`lazy_count_before` (valid while a window is open)."""
+        return _as_point(self._log_item[-1])
+
+    def lazy_count_before(self, window: LazyWindow, point: tuple) -> int:
+        """How many of the window's chain records the step path would have
+        processed before ``point``."""
+        t, prio = _tp(point)
+        tj = window.t0
+        j = 0
+        for c in window.spec[2]:
+            tj = tj + c  # = times[j + 1], by the same adds
+            if tj > t:
+                return j
+            if tj == t:
+                if prio < NORMAL:
+                    return j
+                if prio == NORMAL:
+                    window.spec[0].lazy_tie(window)
+                    if not self.lazy_before((window, j + 1), point):
+                        return j
+            j += 1
+        return j
+
+    def _lazy_pick(self, item: tuple) -> tuple:
+        """``item`` was just popped.  If it is a live lazy record, return
+        whichever of it and its same-``(time, NORMAL)`` rivals the step
+        path would process first, pushing the others back."""
+        point = _as_point(item)
+        if len(point) != 2:
+            return item
+        window = point[0]
+        window.owner.lazy_tie(window)
+        heap = self._heap
+        t = item[0]
+        tied = [item]
+        while heap and heap[0][0] == t and heap[0][1] == NORMAL:
+            tied.append(_heappop(heap))
+        best = item
+        best_pt = point
+        for other in tied[1:]:
+            pt = _as_point(other)
+            if self.lazy_before(pt, best_pt):
+                best, best_pt = other, pt
+        for other in tied:
+            if other is not best:
+                _heappush(heap, other)
+        return best
+
+    def lazy_before(self, x: tuple, y: tuple) -> bool:
+        """Would the step path process point ``x`` before point ``y``?
+
+        A point is a real heap item ``(t, prio, seq, ev)`` or a virtual
+        chain record ``(window, j)``.  Same-``(time, NORMAL)`` records
+        order by seq, i.e. by when their seq was allocated, which for a
+        virtual record ``j > 1`` is while its record ``j - 1`` is being
+        processed — so the comparison walks back to earlier points.
+        """
+        while True:
+            if len(x) == 2:
+                wx, jx = x
+                tx, px = wx.times[jx], NORMAL
+            else:
+                wx = None
+                tx, px = x[0], x[1]
+            if len(y) == 2:
+                wy, jy = y
+                ty, py = wy.times[jy], NORMAL
+            else:
+                wy = None
+                ty, py = y[0], y[1]
+            if tx != ty:
+                return tx < ty
+            if px != py:
+                return px < py
+            if px != NORMAL:
+                return x[2] < y[2]
+            if wx is not None and wy is not None:
+                if wx is wy:
+                    return jx < jy
+                if jx == jy and wx.times[:jx] == wy.times[:jx]:
+                    # lock-step chains: ordered by their first records
+                    return wx.seq < wy.seq
+            a = _alloc(x)
+            b = _alloc(y)
+            if a.__class__ is int:
+                if b.__class__ is int:
+                    return a < b
+                return self._seq_before(a, b)
+            if b.__class__ is int:
+                return not self._seq_before(b, a)
+            x, y = a, b
+
+    def _seq_before(self, seq: int, v: tuple) -> bool:
+        """Was real ``seq`` allocated before virtual point ``v`` was
+        processed?  Seqs up to the window's own came before its chain;
+        later ones are looked up in the log for their allocating event."""
+        if seq <= v[0].seq:
+            return True
+        i = bisect_right(self._log_seq, seq) - 1
+        return self.lazy_before(_as_point(self._log_item[i]), v)
 
     def run_window(self, stop_before: float,
                    stop_event: Optional[Event] = None,
@@ -725,6 +1096,7 @@ class Simulator:
         time only moves with events, and the barrier protocol reads
         :meth:`peek` to agree on the next horizon.
         """
+        self._logging = False
         heap = self._heap
         pop = _heappop
         limit = max_events if max_events is not None else float("inf")
@@ -756,6 +1128,10 @@ class Simulator:
                     cb(event)
         finally:
             self.event_count += processed
+        if self._lazy:
+            raise SimulationError(
+                "lazy windows are ordered by Simulator.run only; "
+                "run_window cannot process them")
         return processed
 
     def peek(self) -> float:
