@@ -177,43 +177,28 @@ class AdaptiveController:
     # sampling
 
     def _signals(self) -> Dict[str, float]:
-        rt = self.rt
-        backlog = 0
-        stalls = exhaust = contended = calls = 0
-        parcels = 0
-        bytes_total = 0
-        for loc in rt.localities:
-            pp = loc.parcelport
-            backlog += pp._backlog_total
-            stalls += pp.stats.get("credit_stalls")
-            for dev in getattr(pp, "devices", ()):
-                exhaust += dev.pool.stats.get("exhaustions")
-                contended += dev.stats.get("progress_contended")
-                calls += dev.stats.get("progress_calls")
-            pl = loc.parcel_layer
-            if pl is not None:
-                backlog += pl.queued_parcels()
-                parcels += pl.stats.get("adapt_parcels")
-                bytes_total += pl.stats.get("adapt_bytes")
-        wire = rt.fabric.stats.get("msgs")
-        rx = sum(loc.nic.rx_pending() for loc in rt.localities)
-        seen = self._seen
-        d_stalls = stalls - seen["stalls"]
-        d_exhaust = exhaust - seen["exhaust"]
-        d_cont = contended - seen["contended"]
-        d_calls = calls - seen["calls"]
-        d_wire = wire - seen["wire"]
-        seen.update(stalls=stalls, exhaust=exhaust,
-                    contended=contended, calls=calls, wire=wire)
-        attempts = d_cont + d_calls
+        c = self.rt.census()
+        backlog = c.total("flow", "queued_parcels")
+        for p in c.of("flow"):
+            backlog += sum(p.gauges.get("backlog", {}).values())
+        seen = {"stalls": c.total("pp", "credit_stalls"),
+                "exhaust": c.total("pool", "exhaustions"),
+                "contended": c.total("device", "progress_contended"),
+                "calls": c.total("device", "progress_calls"),
+                "wire": c.total("fabric", "msgs")}
+        d = {k: v - self._seen[k] for k, v in seen.items()}
+        self._seen = seen
+        attempts = d["contended"] + d["calls"]
+        parcels = c.total("layer", "adapt_parcels")
         return {
             "backlog": float(backlog),
-            "stalls": float(d_stalls),
-            "exhaust": float(d_exhaust),
-            "wait_share": (d_cont / attempts) if attempts else 0.0,
-            "wire": float(d_wire),
-            "rx": float(rx),
-            "mean_size": (bytes_total / parcels) if parcels else 0.0,
+            "stalls": float(d["stalls"]),
+            "exhaust": float(d["exhaust"]),
+            "wait_share": (d["contended"] / attempts) if attempts else 0.0,
+            "wire": float(d["wire"]),
+            "rx": float(c.total("nic", "rx_pending")),
+            "mean_size": (c.total("layer", "adapt_bytes") / parcels
+                          if parcels else 0.0),
         }
 
     # ------------------------------------------------------------------

@@ -372,14 +372,9 @@ def _pair_ping(rt, p: PairPingParams) -> PairPingResult:
     for lid in range(0, p.n_localities, 2):
         if rt.shard_owns(lid):
             rt.locality(lid).spawn(pinger(lid), name=f"ping{lid}")
-    ctx = rt.shard_ctx
-    peer_events: List[int] = []
-    if ctx is not None and ctx.n_shards > 1:
-        ctx.register_contrib("bench.events",
-                             lambda: rt.sim.event_count,
-                             peer_events.append)
     rt.run_until(float(p.horizon_us))
-    return PairPingResult(events=rt.sim.event_count + sum(peer_events),
+    ctx = rt.shard_ctx
+    return PairPingResult(events=rt.census().total("sim", "events"),
                           windows=ctx.windows if ctx is not None else 0)
 
 

@@ -21,6 +21,7 @@ from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 from ..faults import FaultInjector, FaultPlan, RetryPolicy
 from ..flow import FlowControlPolicy
 from ..netsim.fabric import Fabric
+from ..obs.census import take_census
 from ..obs.spans import SpanRecorder
 from ..sim.core import Event, Simulator
 from ..sim.rng import RngPool
@@ -204,19 +205,14 @@ class HpxRuntime:
         # locality set and arms the fabric's export boundary.
         from ..sim.shard.context import current_context
         self.shard_ctx = current_context()
-        #: peer shards' fault/flow snapshots, absorbed on the root shard
-        #: at the collective stop (empty everywhere else)
-        self._peer_faults: List[Dict[str, int]] = []
-        self._peer_flow: List[Dict[str, Any]] = []
+        #: peer shards' censuses, absorbed on the root shard at the
+        #: collective stop (empty everywhere else)
+        self.peer_census: List[Any] = []  # of repro.obs.census.Census
         if self.shard_ctx is not None:
             self.shard_ctx.attach(self)
             if self.shard_ctx.n_shards > 1:
                 self.shard_ctx.register_contrib(
-                    "rt.faults", self._collect_faults,
-                    self._peer_faults.append)
-                self.shard_ctx.register_contrib(
-                    "rt.flow", self._collect_flow,
-                    self._peer_flow.append)
+                    "rt.census", self.census, self.peer_census.append)
 
     # -- setup -------------------------------------------------------------
     def register_action(self, name: str, fn: Callable) -> None:
@@ -311,14 +307,6 @@ class HpxRuntime:
         return (ctx is None or ctx.n_shards == 1
                 or lid in ctx.owned)
 
-    def _collect_faults(self) -> Dict[str, int]:
-        return self._local_fault_summary()
-
-    def _collect_flow(self) -> Dict[str, Any]:
-        ctx = self.shard_ctx
-        return {k: v for k, v in self._local_flow_summary().items()
-                if int(k[1:]) in ctx.owned}
-
     def shutdown(self) -> None:
         """Stop worker loops (the simulator can then drain quickly)."""
         self.running = False
@@ -326,122 +314,66 @@ class HpxRuntime:
             loc.sched.notify_all()
 
     # -- reporting -----------------------------------------------------------
+    def census(self):
+        """Every counter and gauge of the stack, one
+        :class:`~repro.obs.census.Census` (merged across shards on the
+        root shard of a sharded run)."""
+        return take_census(self)
+
     def metrics(self):
         """One :class:`~repro.obs.metrics.MetricsRegistry` view over this
         runtime: fault counters, flow gauges, parcelport/layer/worker
         stats, and span-derived histograms when tracing is on."""
-        ctx = self.shard_ctx
-        if ctx is not None and ctx.n_shards > 1:
-            from ..sim.shard.context import ShardingUnsupported
-            raise ShardingUnsupported(
-                "runtime.metrics() sees only one shard's state under "
-                "--shards > 1; use fault_summary()/flow_summary(), which "
-                "merge across shards")
         from ..obs.metrics import build_runtime_metrics
         return build_runtime_metrics(self)
 
-    def aggregate_stats(self) -> StatSet:
-        total = StatSet("runtime")
-        for loc in self.localities:
-            total.merge(loc.stats)
-            total.merge(loc.sched.stats)
-            if loc.parcel_layer is not None:
-                total.merge(loc.parcel_layer.stats)
-        return total
-
     def fault_summary(self) -> Dict[str, int]:
-        """Fault-injection counters, merged across all layers.
+        """Fault-injection, reliability and overload counters, merged
+        across the stack; zero counters are left out.
 
         Empty dict when no injector is active and reliability is off.
-        On the root shard of a sharded run this includes the peer shards'
-        counters (keywise sums) once the collective stop has exchanged
-        contributions.
         """
-        out = self._local_fault_summary()
-        for peer in self._peer_faults:
-            for k, v in peer.items():
-                out[k] = out.get(k, 0) + v
-        return out
-
-    def _local_fault_summary(self) -> Dict[str, int]:
+        c = self.census()
         out: Dict[str, int] = {}
-        if self.fault_injector is not None:
-            out.update(self.fault_injector.stats.counters)
-        keys = ("retransmits", "sends_failed", "dup_deliveries",
-                "acks_received", "acks_stale", "send_chains_aborted",
-                "recv_chains_expired", "tracked_sends")
-        flow_keys = ("credit_stalls", "credits_consumed",
-                     "credits_replenished", "backlogged_sends",
-                     "backlog_refusals", "backlog_drains", "pool_retries",
-                     "pool_backoffs", "eager_fallbacks")
-        layer_keys = ("messages_failed", "parcels_failed", "parcels_shed",
-                      "puts_deferred", "drains_deferred", "parcels_requeued")
-        for loc in self.localities:
-            pp = loc.parcelport
-            if pp is not None:
-                if getattr(pp, "reliability", None) is not None:
-                    for k in keys:
-                        v = pp.stats.counters.get(k, 0)
-                        if v:
-                            out[k] = out.get(k, 0) + v
-                for k in flow_keys:
-                    v = pp.stats.counters.get(k, 0)
-                    if v:
-                        out[k] = out.get(k, 0) + v
-                for dev in getattr(pp, "devices", []):
-                    for src, k in (("exhaustions", "pool_exhaustions"),
-                                   ("squeezed", "pool_squeezed")):
-                        v = dev.pool.stats.counters.get(src, 0)
-                        if v:
-                            out[k] = out.get(k, 0) + v
-            if loc.parcel_layer is not None:
-                for k in layer_keys:
-                    v = loc.parcel_layer.stats.counters.get(k, 0)
-                    if v:
-                        out[k] = out.get(k, 0) + v
+        for p in c.of("faults"):
+            out.update(p.counters)
+
+        def add(counters: Dict[str, int], keys, prefix: str = "") -> None:
+            for k in keys:
+                v = counters.get(k, 0)
+                if v:
+                    out[prefix + k] = out.get(prefix + k, 0) + v
+
+        for loc in c.of("locality"):
+            for pp in c.of("pp", loc.lid):
+                # in_flight marks a parcelport running the reliability layer
+                if "in_flight" in c.of("flow", loc.lid)[0].gauges:
+                    add(pp.counters, _REL_KEYS)
+                add(pp.counters, _FLOW_KEYS)
+            for pool in c.of("pool", loc.lid):
+                add(pool.counters, ("exhaustions", "squeezed"), "pool_")
+            for pl in c.of("layer", loc.lid):
+                add(pl.counters, _LAYER_KEYS)
         return out
 
     def flow_summary(self) -> Dict[str, Any]:
-        """Per-peer flow-control gauges (credits left, queue depths).
+        """Per-peer flow-control gauges (credits left, queue depths),
+        keyed ``L<lid>`` in locality order.
 
         Empty dict when no :class:`~repro.flow.FlowControlPolicy` is set.
-        On the root shard of a sharded run, each locality's entry comes
-        from the shard that executed it, emitted in locality order (the
-        sequential shape).
         """
         if self.flow_policy is None:
             return {}
-        ctx = self.shard_ctx
-        if ctx is None or ctx.n_shards == 1:
-            return self._local_flow_summary()
-        per_lid = self._collect_flow()
-        for peer in self._peer_flow:
-            per_lid.update(peer)
-        return {f"L{lid}": per_lid[f"L{lid}"]
-                for lid in range(len(self.localities))
-                if f"L{lid}" in per_lid}
+        return {f"L{p.lid}": p.gauges for p in self.census().of("flow")}
 
-    def _local_flow_summary(self) -> Dict[str, Any]:
-        out: Dict[str, Any] = {}
-        for loc in self.localities:
-            pp = loc.parcelport
-            pl = loc.parcel_layer
-            if pp is None:
-                continue
-            entry: Dict[str, Any] = {}
-            rel = getattr(pp, "reliability", None)
-            if rel is not None:
-                gauges = rel.credit_gauges()
-                if gauges:
-                    entry["credits"] = gauges
-                entry["in_flight"] = rel.in_flight
-            depths = pp.backlog_depths()
-            if depths:
-                entry["backlog"] = depths
-            entry["backlog_peak"] = pp.backlog_peak
-            if pl is not None:
-                queued = pl.queued_parcels()
-                if queued:
-                    entry["queued_parcels"] = queued
-            out[f"L{loc.lid}"] = entry
-        return out
+
+#: fault_summary rows: reliability counters (reported only where the
+#: layer runs), flow/overload and parcel-layer counters
+_REL_KEYS = ("retransmits", "sends_failed", "dup_deliveries",
+             "acks_received", "acks_stale", "send_chains_aborted",
+             "recv_chains_expired", "tracked_sends")
+_FLOW_KEYS = ("credit_stalls", "credits_consumed", "credits_replenished",
+              "backlogged_sends", "backlog_refusals", "backlog_drains",
+              "pool_retries", "pool_backoffs", "eager_fallbacks")
+_LAYER_KEYS = ("messages_failed", "parcels_failed", "parcels_shed",
+               "puts_deferred", "drains_deferred", "parcels_requeued")

@@ -131,18 +131,6 @@ class LciDevice:
         #: thresholds — set by the AdaptiveController when adaptation is on
         self.adapt = None
 
-    def progress_wait_share(self) -> float:
-        """Fraction of progress attempts that found the engine lock held.
-
-        The adaptive controller's progress-contention signal: a high share
-        means workers convoy on the trylock and a pinned progress thread
-        would serve them better; ~0 means the engine is mostly idle.
-        """
-        calls = self.stats.get("progress_calls")
-        contended = self.stats.get("progress_contended")
-        attempts = calls + contended
-        return contended / attempts if attempts else 0.0
-
     # ------------------------------------------------------------------
     # send-side primitives (generators, worker context)
     # ------------------------------------------------------------------

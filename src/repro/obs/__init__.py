@@ -1,6 +1,6 @@
 """repro.obs — span-based observability for the simulated network stack.
 
-Three layers:
+Five modules:
 
 * :mod:`repro.obs.spans` — the :class:`SpanRecorder` every component
   reports into (per-parcel lifecycle tracing, correlation by message id);
@@ -9,8 +9,12 @@ Three layers:
 * :mod:`repro.obs.critical_path` — latency decomposition per message
   (serialize / backlog / post / wire / progress-lock wait / poll),
   reproducing the paper's Fig. 7 narrative mechanically;
-* :mod:`repro.obs.metrics` — counters/gauges/histograms registry that
-  absorbs ``fault_summary()`` / ``flow_summary()`` behind one namespace.
+* :mod:`repro.obs.census` — one walk over the stack that names every
+  counter and gauge; ``runtime_breakdown``, ``fault_summary()``,
+  ``flow_summary()``, ``metrics()`` and the adaptive controller's signals
+  are views of it;
+* :mod:`repro.obs.metrics` — counters/gauges/histograms registry: the
+  ``metrics()`` view of the census plus span-derived histograms.
 
 Recording is opt-in (``make_runtime(..., trace="parcel")``); a disabled
 recorder leaves the simulation byte-identical to the seed, an enabled
@@ -24,6 +28,7 @@ from .chrome_trace import (render_timeline, to_chrome_events,
                            validate_chrome_trace, write_chrome_trace)
 from .critical_path import (Chain, CriticalPathReport, analyze,
                             build_chains)
+from .census import Census, Part, take_census
 from .metrics import (Counter, Gauge, Histogram, MetricsRegistry,
                       build_runtime_metrics)
 
@@ -33,6 +38,7 @@ __all__ = [
     "render_timeline", "to_chrome_events", "to_chrome_trace",
     "to_merged_chrome_trace", "validate_chrome_trace", "write_chrome_trace",
     "Chain", "CriticalPathReport", "analyze", "build_chains",
+    "Census", "Part", "take_census",
     "Counter", "Gauge", "Histogram", "MetricsRegistry",
     "build_runtime_metrics",
 ]

@@ -1,10 +1,10 @@
 """Metrics registry: counters, gauges and histograms behind one namespace.
 
-The runtime's ad-hoc reporting (``fault_summary()``, ``flow_summary()``,
-per-component :class:`~repro.sim.stats.StatSet` bags) grew organically;
-this registry absorbs them behind a single queryable namespace with
-dotted metric names (``fault.retransmits``, ``flow.L0.backlog_peak``,
-``pp.header_sends``, ``obs.wire_us`` …).
+:func:`build_runtime_metrics` is the ``HpxRuntime.metrics()`` view of the
+stack census (:mod:`repro.obs.census`): fault counters, flow gauges and
+per-kind totals under dotted names (``fault.retransmits``,
+``flow.L0.backlog_peak``, ``pp.header_sends``), plus span-derived
+histograms (``obs.wire_us`` …) when tracing was on.
 
 Histograms reuse :func:`repro.sim.stats.percentile`, so p50/p90/p99 here
 agree exactly with :class:`~repro.sim.stats.TimeSeries` percentiles.
@@ -15,6 +15,7 @@ from __future__ import annotations
 from typing import Any, Dict, List, Optional, Union
 
 from ..sim.stats import percentile, summarize
+from .census import flatten
 
 __all__ = ["Counter", "Gauge", "Histogram", "MetricsRegistry",
            "build_runtime_metrics"]
@@ -171,48 +172,30 @@ class MetricsRegistry:
         return len(self._metrics)
 
 
-def _flatten(prefix: str, value: Any, out: Dict[str, float]) -> None:
-    if isinstance(value, dict):
-        for k, v in value.items():
-            _flatten(f"{prefix}.{k}", v, out)
-    else:
-        try:
-            out[prefix] = float(value)
-        except (TypeError, ValueError):  # pragma: no cover - defensive
-            pass
-
-
 def build_runtime_metrics(rt: Any) -> MetricsRegistry:
     """One registry view over a finished :class:`~repro.hpx_rt.runtime.
     HpxRuntime`: fault counters, flow gauges, parcelport/layer/worker
-    stats, plus latency histograms derived from the span recorder when
-    tracing was on."""
+    stats from its census (:mod:`repro.obs.census`), plus latency
+    histograms derived from the span recorder when tracing was on."""
     reg = MetricsRegistry()
     for k, v in rt.fault_summary().items():
         reg.counter(f"fault.{k}").inc(v)
-    flat: Dict[str, float] = {}
-    for k, v in rt.flow_summary().items():
-        _flatten(f"flow.{k}", v, flat)
+    flat: Dict[str, Any] = {}
+    flatten("flow", rt.flow_summary(), flat)
     for k, v in flat.items():
         reg.gauge(k).set(v)
-    reg.gauge("sim.virtual_time_us").set(rt.now)
-    reg.counter("wire.msgs").inc(rt.fabric.stats.counters.get("msgs", 0))
-    reg.counter("wire.bytes").inc(rt.fabric.stats.accum.get("bytes", 0.0))
-    for loc in rt.localities:
-        pp = loc.parcelport
-        if pp is not None:
-            for k, v in pp.stats.counters.items():
-                reg.counter(f"pp.{k}").inc(v)
-        if loc.parcel_layer is not None:
-            for k, v in loc.parcel_layer.stats.counters.items():
-                reg.counter(f"layer.{k}").inc(v)
-        for w in loc.workers:
-            reg.counter("worker.cpu_us").inc(
-                w.stats.accum.get("cpu_us", 0.0))
-            reg.counter("worker.compute_us").inc(
-                w.stats.accum.get("compute_us", 0.0))
-            reg.counter("worker.lock_wait_us").inc(
-                w.stats.accum.get("lock_wait_us", 0.0))
+    c = rt.census()
+    reg.gauge("sim.virtual_time_us").set(c.now)
+    reg.counter("wire.msgs").inc(c.total("fabric", "msgs"))
+    reg.counter("wire.bytes").inc(c.total("fabric", "bytes", 0.0))
+    for loc in c.of("locality"):
+        for kind in ("pp", "layer"):
+            for p in c.of(kind, loc.lid):
+                for k, v in p.counters.items():
+                    reg.counter(f"{kind}.{k}").inc(v)
+        for p in c.of("worker", loc.lid):
+            for k in ("cpu_us", "compute_us", "lock_wait_us"):
+                reg.counter(f"worker.{k}").inc(p.counters.get(k, 0.0))
     ad = getattr(rt, "adapt", None)
     if ad is not None:
         reg.counter("adapt.ticks").inc(ad.ticks)
@@ -224,9 +207,12 @@ def build_runtime_metrics(rt: Any) -> MetricsRegistry:
         reg.gauge("adapt.eager_scale").set(float(st.eager_scale))
         reg.gauge("adapt.progress_pinned").set(
             1.0 if st.progress_pinned else 0.0)
-        shares = [dev.progress_wait_share()
-                  for loc in rt.localities
-                  for dev in getattr(loc.parcelport, "devices", ())]
+        shares = []
+        for dev in c.of("device"):
+            calls = dev.counters.get("progress_calls", 0)
+            contended = dev.counters.get("progress_contended", 0)
+            attempts = calls + contended
+            shares.append(contended / attempts if attempts else 0.0)
         if shares:
             reg.gauge("adapt.progress_wait_share").set(max(shares))
     serve = getattr(rt, "serve_stats", None)

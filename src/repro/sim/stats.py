@@ -108,14 +108,6 @@ class StatSet:
     def sample(self, key: str, t: float, v: float) -> None:
         self.series[key].record(t, v)
 
-    def merge(self, other: "StatSet") -> None:
-        for k, v in other.counters.items():
-            self.counters[k] += v
-        for k, v in other.accum.items():
-            self.accum[k] += v
-        for k, ts in other.series.items():
-            self.series[k].samples.extend(ts.samples)
-
     def as_dict(self) -> Dict[str, float]:
         out: Dict[str, float] = {}
         out.update(self.counters)

@@ -200,7 +200,7 @@ def test_worker_compute_scaled_by_thread_weight():
     assert w.cpu(5.0) == 5.0
 
 
-def test_aggregate_stats_merge():
+def test_census_merges_locality_counters():
     rt = make_runtime("lci", platform=LAPTOP, n_localities=2)
     done = rt.new_latch(5)
 
@@ -217,9 +217,10 @@ def test_aggregate_stats_merge():
     rt.boot()
     rt.locality(0).spawn(task)
     rt.run_until(done, max_events=100000)
-    stats = rt.aggregate_stats()
-    assert stats.counters["parcels_created"] == 5
-    assert stats.counters["parcels_executed"] == 5
+    census = rt.census()
+    assert census.total("locality", "parcels_created") == 5
+    assert census.total("locality", "parcels_executed") == 5
+    assert census.as_dict()["L1.messages_received"] >= 1
 
 
 # ---------------------------------------------------------------------------

@@ -61,18 +61,6 @@ def test_statset_counters_accumulators_series():
     assert len(s.series["ts"]) == 2
 
 
-def test_statset_merge():
-    a, b = StatSet("a"), StatSet("b")
-    a.inc("x")
-    b.inc("x", 4)
-    b.add("y", 2.0)
-    b.sample("z", 0.0, 1.0)
-    a.merge(b)
-    assert a.counters["x"] == 5
-    assert a.accum["y"] == 2.0
-    assert len(a.series["z"]) == 1
-
-
 def test_statset_as_dict_combines():
     s = StatSet()
     s.inc("n", 2)

@@ -19,6 +19,7 @@ from repro.bench import (SERVE_FLOW, FftBenchParams, MessageRateParams,
 from repro.bench.parallel import (ResultCache, code_fingerprint,
                                   evaluate_point, execution)
 from repro.faults import FaultPlan
+from repro.flow import FlowControlPolicy
 from repro.hpx_rt.platform import EXPANSE
 from repro.sim.shard import (LookaheadViolation, ShardContext,
                              ShardingUnsupported, current_context,
@@ -209,14 +210,59 @@ def test_shards_one_is_in_process():
     assert current_context() is None  # context restored afterwards
 
 
-def test_metrics_rejected_under_shards():
-    set_current(ShardContext(0, 2))
-    try:
-        rt = make_runtime("mpi", platform=EXPANSE, n_localities=2, seed=1)
-        with pytest.raises(ShardingUnsupported, match="one shard"):
-            rt.metrics()
-    finally:
-        set_current(None)
+def _metrics_run(**layers):
+    """A 4-locality message-rate point: two sender → receiver pairs (one
+    per shard at ``--shards 2``), deadline-terminated so every shard
+    stops at the same instant; returns the flattened metrics.
+
+    The config is not lazy-idle eligible: sharded runs always take the
+    step path, so a pinned ``cq`` config's ``pp.idle_rounds_elided``
+    (and the other lazy counters) legitimately differ from sequential.
+    """
+    def run():
+        rt = make_runtime("lci_sr_sy_mt", platform=EXPANSE,
+                          n_localities=4, seed=5, **layers)
+
+        def sink(worker, i):
+            return None
+
+        rt.register_action("sink", sink)
+
+        def sender(dest):
+            def task(worker):
+                for i in range(60):
+                    yield from worker.locality.apply(
+                        worker, dest, "sink", (i,), arg_sizes=[8])
+            return task
+
+        rt.boot()
+        for src, dest in ((0, 1), (2, 3)):
+            if rt.shard_owns(src):
+                rt.locality(src).spawn(sender(dest), name=f"send{src}")
+        rt.run_until(400.0)
+        return rt.metrics().as_dict()
+
+    return run
+
+
+@pytest.mark.parametrize("layers", [
+    {},
+    {"fault_plan": FaultPlan.parse("drop=0.03,slow=0:200@1*2"),
+     "flow_policy": FlowControlPolicy(credit_window=4, max_backlog=8)},
+], ids=["plain", "faults+flow"])
+def test_metrics_match_sequential_under_shards(layers):
+    """``--shards 2`` reports the sequential run's metrics.  Fault draws
+    are keyed by message identity whenever a shard context is active, so
+    the sequential reference is the in-process ``--shards 1`` engine
+    (the plain point also matches the bare kernel)."""
+    run = _metrics_run(**layers)
+    seq = run_sharded_point(run, 1)
+    assert seq["wire.msgs"] > 0 and seq["worker.cpu_us"] > 0
+    if layers:
+        assert seq["fault.drops"] > 0 and "flow.L3.backlog_peak" in seq
+    else:
+        assert run() == seq
+    assert run_sharded_point(run, 2) == seq
 
 
 # ---------------------------------------------------------------------------
